@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .cyclotomic import Cyclotomic
 from .designs import (
     GroupSubset,
+    _check_spectrum,
     certify_difference_set,
+    difference_counts,
     non_ds_witness,
     welch_integer_S,
 )
-from .groups import Element, Subgroup, subgroups_of_order
+from .groups import Element, Subgroup, _dft_at, subgroups_of_order
 
 
 def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
@@ -33,30 +32,23 @@ def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
     return GroupSubset(G, els)
 
 
-def _exact_dft_at(D: GroupSubset, chi) -> Cyclotomic:
-    G = D.group
-    L = G.exponent
-    coeffs: dict[int, Fraction] = {}
-    for d in D.elements:
-        e = (-G.char_exponent(chi, d)) % L
-        coeffs[e] = coeffs.get(e, Fraction(0)) + 1
-    return Cyclotomic(L, coeffs)
-
-
 def is_fine(D: GroupSubset, cap: int = 10000) -> Subgroup | None:
     """First subgroup of order G/(S+1) disjoint from D, in deterministic
     order, or None.  On success the three equivalent fineness conditions are
     cross-checked exactly; disagreement raises."""
-    lam = certify_difference_set(D)
-    if lam is None:
+    if certify_difference_set(D) is None:
         return None
+    s = welch_integer_S(D.size, D.group.order)
+    return None if s is None else _fine_subgroup(D, s, cap)
+
+
+def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> Subgroup | None:
+    """``is_fine`` for a certified difference set with Welch reciprocal S."""
     G = D.group
-    s = welch_integer_S(D.size, G.order)
-    if s is None or G.order % (s + 1):
+    if G.order % (s + 1):
         return None
-    h_order = G.order // (s + 1)
     dset = set(D.elements)
-    for H in subgroups_of_order(G, h_order, cap=cap):
+    for H in subgroups_of_order(G, G.order // (s + 1), cap=cap):
         if not (set(H.elements) & dset):
             _assert_fine_consistency(D, H, s)
             return H
@@ -66,10 +58,11 @@ def is_fine(D: GroupSubset, cap: int = 10000) -> Subgroup | None:
 def _assert_fine_consistency(D: GroupSubset, H: Subgroup, s: int) -> None:
     # (ii) the DFT of chi_D equals -D/S on the nontrivial annihilator, exactly
     target = Fraction(-D.size, s)
+    chi_D = D.indicator()
     for chi in H.annihilator().elements:
         if chi == D.group.zero:
             continue
-        if not (_exact_dft_at(D, chi) - target).is_zero():
+        if not (_dft_at(chi_D, chi) - target).is_zero():
             raise AssertionError(f"fineness Fourier condition failed at {chi}")
     # (iii) every coset off H meets D in exactly D/S points
     if D.size % s:
@@ -93,14 +86,8 @@ def _certify_slice_in_subgroup(Dg: GroupSubset, H: Subgroup) -> bool:
     if (n * (n - 1)) % (h - 1):
         return False
     lam = n * (n - 1) // (h - 1)
-    G = Dg.group
-    counts: dict = {}
-    for a in Dg.elements:
-        for b in Dg.elements:
-            if a != b:
-                g = G.sub(a, b)
-                counts[g] = counts.get(g, 0) + 1
-    return all(counts.get(g, 0) == lam for g in H.elements if g != G.zero)
+    counts = difference_counts(Dg)
+    return all(counts[g] == lam for g in H.elements if g != Dg.group.zero)
 
 
 def is_amalgam(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> bool:
@@ -120,27 +107,13 @@ def is_amalgam(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> bool:
         if not _certify_slice_in_subgroup(Dg, H):
             return False
         slices.append(Dg)
-    _slice_fourier_crosscheck(D, H, s, slices, tol)
-    return True
-
-
-def _slice_fourier_crosscheck(D, H, s, slices, tol) -> None:
     # |DFT(chi_B)|^2 == (D^2/S^3) * (1 + (S-1) chi_ann) for each nonempty slice
-    G = D.group
-    table = G.character_table
-    ann = H.annihilator()._member_set
+    ann = H.annihilator()
     base = D.size**2 / s**3
     for Dg in slices:
-        if Dg.size == 0:
-            continue
-        rows = [G.index_of(g) for g in Dg.elements]
-        spectrum = np.abs(table[rows, :].conj().sum(axis=0)) ** 2
-        for j, chi in enumerate(G.characters):
-            want = base * s if chi in ann else base
-            if abs(spectrum[j] - want) > tol * max(1.0, want):
-                raise AssertionError(
-                    f"small-difference-set Fourier pattern failed at {chi}"
-                )
+        if Dg.size:
+            _check_spectrum(Dg, ann, base * s, base, tol, 1.0)
+    return True
 
 
 def is_composite(D: GroupSubset, H: Subgroup) -> tuple[GroupSubset, GroupSubset] | None:
@@ -257,7 +230,7 @@ def classify(D: GroupSubset, cap: int = 10000) -> DesignCertificate:
             D, True, lam, None, None, None, False, None, div,
             failure_reason=reason,
         )
-    H = is_fine(D, cap=cap)
+    H = _fine_subgroup(D, s, cap)
     if H is None:
         return DesignCertificate(
             D, True, lam, s, None, None, False, None, div,

@@ -16,7 +16,7 @@ entries at 17 significant digits) or JSON with a dual exact representation
 {re, im, exact: {num, den, root_exp, root_mod}} whenever an entry is a
 rational multiple of a root of unity.  Exit codes: 0 pass, 1 verification
 failure, 2 usage or parse error.  ETFKIT_CAP overrides the group-order cap
-used by subgroup searches.
+of the subgroup search in non-cyclic groups.
 """
 
 from __future__ import annotations
@@ -106,8 +106,13 @@ def write_set(path: Path, D: designs.GroupSubset, subgroup: Subgroup | None = No
 
 def read_set(path: Path) -> tuple[designs.GroupSubset, Subgroup | None]:
     data = json.loads(Path(path).read_text())
-    if "group" not in data or "elements" not in data:
+    if not isinstance(data, dict) or data.get("group") is None or data.get("elements") is None:
         raise ValueError(f"{path}: not a set file (missing group/elements)")
+    if not isinstance(data["group"], dict) or not _int_lists([data["group"].get("cyclic_orders")]):
+        raise ValueError(f"{path}: group must be an object with integer cyclic_orders")
+    for key in ("elements", "display_order", "subgroup"):
+        if data.get(key) is not None and not _int_lists(data[key]):
+            raise ValueError(f"{path}: {key} must be a list of integer lists")
     group = group_new(data["group"]["cyclic_orders"])
     display = data.get("display_order")
     D = designs.subset(
@@ -119,6 +124,13 @@ def read_set(path: Path) -> tuple[designs.GroupSubset, Subgroup | None]:
     if data.get("subgroup"):
         H = Subgroup(group, tuple(tuple(g) for g in data["subgroup"]))
     return D, H
+
+
+def _int_lists(value) -> bool:
+    """Whether a JSON value is a list of lists of integers."""
+    return isinstance(value, list) and all(
+        isinstance(g, list) and all(isinstance(x, int) for x in g) for g in value
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +279,12 @@ def _gamma_by_index(group: AbelianGroup, idx: int):
 def _valid_gammas(group: AbelianGroup, H: Subgroup):
     ann = set(H.annihilator().elements)
     return [chi for chi in group.characters if chi not in ann]
+
+
+def _conference_builder(source: str):
+    if source == "amalgam":
+        return conference_mod.conference_from_amalgam
+    return conference_mod.conference_from_srds
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +472,7 @@ def cmd_verify(args) -> int:
             if args.gamma is not None
             else _valid_gammas(D.group, H)[0]
         )
-        builder = (
-            conference_mod.conference_from_amalgam
-            if args.source == "amalgam"
-            else conference_mod.conference_from_srds
-        )
-        conf = builder(D, H, gamma)
+        conf = _conference_builder(args.source)(D, H, gamma)
         result = conference_mod.verify_conference(conf, tol=tol)
         passed = result.passed
         report = _report(
@@ -478,11 +491,7 @@ def cmd_conference(args) -> int:
     cap = _cap()
     tol = args.tolerance
     H = _need_subgroup(D, H, cap)
-    builder = (
-        conference_mod.conference_from_amalgam
-        if args.source == "amalgam"
-        else conference_mod.conference_from_srds
-    )
+    builder = _conference_builder(args.source)
     if args.all_gammas:
         gammas = _valid_gammas(D.group, H)
     else:
@@ -496,7 +505,7 @@ def cmd_conference(args) -> int:
     for gamma in gammas:
         conf = builder(D, H, gamma)
         verdict = conference_mod.verify_conference(conf, tol=tol)
-        idx = D.group.characters.index(gamma)
+        idx = D.group.index_of(gamma)
         path = out_dir / f"conference_{args.source}_gamma{idx}.{args.format}"
         write_matrix(path, conf.materialize(), args.format)
         results.append(

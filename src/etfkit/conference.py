@@ -101,37 +101,31 @@ def conference_from_amalgam(D: GroupSubset, H: Subgroup, gamma: Character) -> Ci
     Valid whenever D is an amalgam for H; on other inputs the object is still
     built and verification reports the failure.
     """
-    if D.group != H.group:
-        raise ValueError("subset and subgroup must share a group")
-    _reject_annihilator(H, gamma)
-    G = D.group
-    L = G.exponent
-    s = G.order // H.order - 1
-    reps = [g for g, _ in H.cosets]
-    rep_of = H.coset_rep
-    sums = {rep: Cyclotomic.zero(L) for rep in reps}
-    for d in D.elements:
-        sums[rep_of[d]] = sums[rep_of[d]] + Cyclotomic.root(G.char_exponent(gamma, d), L)
-    column = tuple(sums[rep] for rep in reps)
-    return CirculantConference(H, tuple(reps), column, Fraction(s**3, D.size**2), s)
+    reps, column, s = _coset_sums(D, H, gamma)
+    return CirculantConference(H, reps, column, Fraction(s**3, D.size**2), s)
 
 
 def conference_from_srds(A: GroupSubset, H: Subgroup, gamma: Character) -> CirculantConference:
     """First column y(g_bar) = sum over the (single, for a transversal)
     a in A with a_bar = g_bar of gamma(a); unit scale."""
-    if A.group != H.group:
+    reps, column, s = _coset_sums(A, H, gamma)
+    return CirculantConference(H, reps, column, Fraction(1), s)
+
+
+def _coset_sums(X: GroupSubset, H: Subgroup, gamma: Character) -> tuple[tuple, tuple, int]:
+    """(coset representatives, exact sum of gamma over X in each coset, S):
+    the unscaled first column both conference routes share."""
+    if X.group != H.group:
         raise ValueError("subset and subgroup must share a group")
     _reject_annihilator(H, gamma)
-    G = A.group
+    G = X.group
     L = G.exponent
-    s = G.order // H.order - 1
     reps = [g for g, _ in H.cosets]
     rep_of = H.coset_rep
     sums = {rep: Cyclotomic.zero(L) for rep in reps}
-    for a in A.elements:
-        sums[rep_of[a]] = sums[rep_of[a]] + Cyclotomic.root(G.char_exponent(gamma, a), L)
-    column = tuple(sums[rep] for rep in reps)
-    return CirculantConference(H, tuple(reps), column, Fraction(1), s)
+    for x in X.elements:
+        sums[rep_of[x]] = sums[rep_of[x]] + Cyclotomic.root(G.char_exponent(gamma, x), L)
+    return tuple(reps), tuple(sums[rep] for rep in reps), G.order // H.order - 1
 
 
 def verify_conference(C: CirculantConference, tol: float = 1e-9) -> ConferenceReport:

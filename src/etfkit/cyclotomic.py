@@ -272,9 +272,6 @@ class Cyclotomic:
             return (self - Cyclotomic._coerce(other, self.modulus)).is_zero()
         return NotImplemented
 
-    def __hash__(self):  # pragma: no cover - unused, kept for dataclass friendliness
-        return hash((self.modulus,) + tuple(sorted(self.coeffs.items())))
-
     def __complex__(self) -> complex:
         roots = _complex_roots(self.modulus)
         return sum((complex(c) * roots[e] for e, c in self.coeffs.items()), 0j)

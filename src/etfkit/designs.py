@@ -23,6 +23,7 @@ from .groups import (
     Quotient,
     Subgroup,
     convolve,
+    dft_numeric,
     group_new,
     involution,
     quotient_group,
@@ -171,24 +172,28 @@ def certify_rds(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> RdsParams | N
             expected[g] = lam
     if counts.values != {g: v for g, v in expected.items() if v}:
         return None
-    _fourier_rds_crosscheck(D, H, lam, tol)
+    _check_spectrum(D, H.annihilator(), d - lam * h, d, tol, d * d)
     return RdsParams(G // h, h, d, lam)
 
 
-def _fourier_rds_crosscheck(D: GroupSubset, H: Subgroup, lam: int, tol: float) -> None:
-    G = D.group
-    table = G.character_table
-    rows = [G.index_of(g) for g in D.elements]
-    spectrum = np.abs(table[rows, :].conj().sum(axis=0)) ** 2
-    ann = H.annihilator()._member_set
-    for j, chi in enumerate(G.characters):
-        want = D.size - lam * H.order if chi in ann else D.size
-        if chi == G.zero:
-            want = D.size**2
-        if abs(spectrum[j] - want) > tol * max(1.0, D.size**2):
-            raise AssertionError(
-                f"Fourier cross-check failed at {chi}: {spectrum[j]} vs {want}"
-            )
+def _check_spectrum(
+    X: GroupSubset, ann: Subgroup, on: float, off: float, tol: float, floor: float
+) -> None:
+    """Float cross-check of a two-level spectrum: |DFT(chi_X)|^2 must be
+    ``on`` on the characters in ``ann`` and ``off`` elsewhere (|X|^2 at the
+    trivial character), each within tol * max(floor, expected value)."""
+    G = X.group
+    in_ann = np.zeros(G.order, dtype=bool)
+    in_ann[G.indices(ann.elements)] = True
+    want = np.where(in_ann, float(on), float(off))
+    want[0] = X.size**2
+    spectrum = np.abs(dft_numeric(X.indicator())) ** 2
+    bad = np.flatnonzero(np.abs(spectrum - want) > tol * np.maximum(floor, want))
+    if bad.size:
+        j = bad[0]
+        raise AssertionError(
+            f"Fourier cross-check failed at {G.characters[j]}: {spectrum[j]} vs {want[j]}"
+        )
 
 
 def welch_integer_S(d: int, g: int) -> int | None:

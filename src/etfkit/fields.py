@@ -133,12 +133,6 @@ class FiniteField:
             out.append(tuple(coeffs))
         return tuple(out)
 
-    def encode(self, x: FieldElement) -> int:
-        enc = 0
-        for c in reversed(x):
-            enc = enc * self.p + c
-        return enc
-
     # -- arithmetic -----------------------------------------------------
     def add(self, x: FieldElement, y: FieldElement) -> FieldElement:
         return tuple((a + b) % self.p for a, b in zip(x, y))

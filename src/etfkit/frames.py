@@ -19,7 +19,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic
 from .designs import GroupSubset, certify_rds
-from .groups import AbelianGroup, Character, Subgroup
+from .groups import AbelianGroup, Character, IntVector, Subgroup, dft_numeric
 from .matrices import ComplexMatrix, from_cells
 from .classify import is_amalgam
 
@@ -412,29 +412,19 @@ def unbiased_simplices_check(A: GroupSubset, H: Subgroup, tol: float = 1e-9) -> 
     s = G.order // H.order - 1
     if A.size != s:
         raise ValueError(f"A must have S = {s} elements, got {A.size}")
-    table = G.character_table
-    rows = [G.index_of(a) for a in A.elements]
-    xi = table[rows, :] / math.sqrt(s)  # columns indexed by characters
-    gram_abs = np.abs(xi.conj().T @ xi)
-
-    ann_sub = H.annihilator()
-    rep_of = ann_sub.coset_rep
-    chars = G.characters
-    sum_res = in_res = cross_res = 0.0
-    for ci, c1 in enumerate(chars):
-        for cj, c2 in enumerate(chars):
-            if cj <= ci:
-                continue
-            same = rep_of[c1] == rep_of[c2]
-            want = 1.0 / s if same else 1.0 / math.sqrt(s)
-            r = abs(gram_abs[ci, cj] - want)
-            if same:
-                in_res = max(in_res, r)
-            else:
-                cross_res = max(cross_res, r)
-    for rep, members in ann_sub.cosets:
-        cols = [G.index_of(c) for c in members]
-        sum_res = max(sum_res, float(np.max(np.abs(xi[:, cols].sum(axis=1)))))
+    ann = H.annihilator()
+    in_ann = np.zeros(G.order, dtype=bool)
+    in_ann[G.indices(ann.elements)] = True
+    # <xi_c1, xi_c2> = sum_a conj(c1(a)) c2(a) / S depends on c2 - c1 alone: its
+    # modulus is |DFT(chi_A)(c2 - c1)| / S, one FFT for every pair of characters
+    inner = np.abs(dft_numeric(A.indicator())) / s
+    res = np.abs(inner - np.where(in_ann, 1.0 / s, 1.0 / math.sqrt(s)))
+    in_res = float(res[in_ann][1:].max(initial=0.0))  # [0] is c2 - c1 = 0, no pair
+    cross_res = float(res[~in_ann].max(initial=0.0))
+    # the sum of xi_c(a) over a coset gamma + ann is gamma(a) times the sum
+    # over ann itself, so every coset's sum has the modulus read off here
+    ann_sums = np.abs(dft_numeric(IntVector.indicator(G, ann.elements)))
+    sum_res = float(ann_sums[G.indices(A.elements)].max()) / math.sqrt(s)
 
     geometric = bool(max(sum_res, in_res, cross_res) <= tol)
     params = certify_rds(A, H)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -20,9 +20,6 @@ from .cyclotomic import Cyclotomic, RootOfUnity
 
 Element = tuple[int, ...]
 Character = tuple[int, ...]
-
-# dense index tables and character tables are only materialized up to this order
-_TABLE_ORDER_LIMIT = 4096
 
 
 class SearchCapExceeded(RuntimeError):
@@ -56,11 +53,21 @@ class AbelianGroup:
         return tuple(product(*(range(n) for n in self.cyclic_orders)))
 
     @cached_property
-    def _index(self) -> dict[Element, int]:
-        return {g: i for i, g in enumerate(self.elements)}
+    def strides(self) -> np.ndarray:
+        """Mixed-radix place values: ``residues @ strides`` is the position of
+        a residue tuple in enumeration order."""
+        orders = self.cyclic_orders
+        return np.array([prod(orders[k + 1:]) for k in range(len(orders))], dtype=np.int64)
+
+    def indices(self, elements) -> np.ndarray:
+        """Enumeration positions of a sequence of residue tuples."""
+        residues = np.array(elements, dtype=np.int64).reshape(-1, len(self.cyclic_orders))
+        return residues @ self.strides
 
     def index_of(self, g: Element) -> int:
-        return self._index[g]
+        if not self.contains(g):
+            raise KeyError(g)
+        return int(self.indices([g])[0])
 
     @property
     def zero(self) -> Element:
@@ -106,40 +113,6 @@ class AbelianGroup:
         if len(chi) != len(self.cyclic_orders) or len(g) != len(self.cyclic_orders):
             raise ValueError("character/element length does not match the group rank")
         return RootOfUnity(self.char_exponent(chi, g), self.exponent)
-
-    def char_mul(self, chi1: Character, chi2: Character) -> Character:
-        return self.add(chi1, chi2)
-
-    def char_inv(self, chi: Character) -> Character:
-        return self.neg(chi)
-
-    @cached_property
-    def character_table(self) -> np.ndarray:
-        """Complex table T[g, chi] = chi(g), in enumeration order."""
-        if self.order > _TABLE_ORDER_LIMIT:
-            raise SearchCapExceeded(
-                f"character table for order {self.order} exceeds limit {_TABLE_ORDER_LIMIT}"
-            )
-        L = self.exponent
-        R = np.array(self.elements, dtype=np.int64)
-        w = np.array([L // n for n in self.cyclic_orders], dtype=np.int64)
-        expo = ((R * w) @ R.T) % L
-        return np.exp(2j * np.pi * expo / L)
-
-    # -- dense index arithmetic (used by convolution) -------------------------
-    @cached_property
-    def _sub_table(self) -> np.ndarray:
-        if self.order > _TABLE_ORDER_LIMIT:
-            raise SearchCapExceeded(
-                f"index tables for order {self.order} exceed limit {_TABLE_ORDER_LIMIT}"
-            )
-        R = np.array(self.elements, dtype=np.int64)
-        n = np.array(self.cyclic_orders, dtype=np.int64)
-        diff = (R[:, None, :] - R[None, :, :]) % n
-        strides = np.ones(len(self.cyclic_orders), dtype=np.int64)
-        for k in range(len(self.cyclic_orders) - 2, -1, -1):
-            strides[k] = strides[k + 1] * self.cyclic_orders[k + 1]
-        return (diff @ strides).astype(np.int64)
 
 
 def group_new(cyclic_orders) -> AbelianGroup:
@@ -198,8 +171,7 @@ class IntVector:
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.group.order, dtype=np.int64)
-        for g, v in self.values.items():
-            out[self.group.index_of(g)] = v
+        out[self.group.indices(list(self.values))] = list(self.values.values())
         return out
 
 
@@ -208,53 +180,49 @@ def involution(x: IntVector) -> IntVector:
 
 
 def convolve(x: IntVector, y: IntVector) -> IntVector:
-    """(x*y)(g) = sum_{g'} x(g') y(g - g'), exact integers."""
+    """(x*y)(g) = sum_{g'} x(g') y(g - g'), exact integers.
+
+    Each pair (a, b) of support points adds x(a) y(b) at the index of a + b,
+    found by mixed-radix addition one cyclic factor at a time, so work and
+    memory are O(|x| |y|), never O(G^2).
+    """
     if x.group != y.group:
         raise ValueError("convolution requires both vectors on the same group")
     G = x.group
-    if not x.values or not y.values:
-        return IntVector(G, {})
-    # (x*y)(g) counts pairs with g = a + b, i.e. g - b = a
-    ix = np.array([G.index_of(g) for g in x.values], dtype=np.int64)
-    iy = np.array([G.index_of(g) for g in y.values], dtype=np.int64)
+    rank = len(G.cyclic_orders)
+    rx = np.array(list(x.values), dtype=np.int64).reshape(-1, rank)
+    ry = np.array(list(y.values), dtype=np.int64).reshape(-1, rank)
+    targets = np.zeros((len(rx), len(ry)), dtype=np.int64)
+    for k, (n, stride) in enumerate(zip(G.cyclic_orders, G.strides)):
+        targets += (rx[:, k, None] + ry[None, :, k]) % n * stride
     vx = np.array(list(x.values.values()), dtype=np.int64)
     vy = np.array(list(y.values.values()), dtype=np.int64)
-    if G.order <= _TABLE_ORDER_LIMIT:
-        sub = G._sub_table
-        out = np.zeros(G.order, dtype=np.int64)
-        # index of a + b equals index of a - (-b); sub_table gives a - b directly
-        neg_iy = sub[0, iy]  # index of -b since 0 - b
-        targets = sub[np.ix_(ix, neg_iy)]
-        np.add.at(out, targets.ravel(), np.outer(vx, vy).ravel())
-        els = G.elements
-        return IntVector(G, {els[i]: int(out[i]) for i in np.nonzero(out)[0]})
-    acc: dict = {}
-    for a, va in x.values.items():
-        for b, vb in y.values.items():
-            g = G.add(a, b)
-            acc[g] = acc.get(g, 0) + va * vb
-    return IntVector(G, acc)
+    out = np.zeros(G.order, dtype=np.int64)
+    np.add.at(out, targets.ravel(), np.outer(vx, vy).ravel())
+    els = G.elements
+    return IntVector(G, {els[i]: int(out[i]) for i in np.flatnonzero(out)})
 
 
 def dft(x: IntVector) -> dict[Character, Cyclotomic]:
     """Exact DFT: (F*x)(chi) = sum_g conj(chi(g)) x(g), for every character."""
+    return {chi: _dft_at(x, chi) for chi in x.group.characters}
+
+
+def _dft_at(x: IntVector, chi: Character) -> Cyclotomic:
+    """The exact DFT of x at one character."""
     G = x.group
     L = G.exponent
-    out: dict[Character, Cyclotomic] = {}
-    support = list(x.values.items())
-    for chi in G.characters:
-        coeffs: dict[int, Fraction] = {}
-        for g, v in support:
-            e = (-G.char_exponent(chi, g)) % L
-            coeffs[e] = coeffs.get(e, Fraction(0)) + v
-        out[chi] = Cyclotomic(L, coeffs)
-    return out
+    coeffs: dict[int, Fraction] = {}
+    for g, v in x.values.items():
+        e = (-G.char_exponent(chi, g)) % L
+        coeffs[e] = coeffs.get(e, Fraction(0)) + v
+    return Cyclotomic(L, coeffs)
 
 
 def dft_numeric(x: IntVector) -> np.ndarray:
-    """DFT in complex doubles, indexed by character enumeration order."""
-    G = x.group
-    return G.character_table.conj().T @ x.dense()
+    """DFT in complex doubles, indexed by character enumeration order: one
+    multidimensional FFT over the cyclic factors."""
+    return np.fft.fftn(x.dense().reshape(x.group.cyclic_orders)).ravel()
 
 
 # ---------------------------------------------------------------------------

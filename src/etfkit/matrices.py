@@ -97,18 +97,7 @@ class ComplexMatrix:
             exact = ExactForm(self.exact.scale_sq * other.exact.scale_sq, cells)
         return ComplexMatrix(self.row_labels, other.col_labels, values, exact)
 
-    def scaled(self, factor: complex) -> "ComplexMatrix":
-        return ComplexMatrix(self.row_labels, self.col_labels, self.values * factor, None)
-
     # -- norms and checks ----------------------------------------------------
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def minus(self, other: "ComplexMatrix") -> np.ndarray:
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return self.values - other.values
-
     def identity_residual(self) -> float:
         n = min(self.shape)
         eye = np.eye(*self.shape)

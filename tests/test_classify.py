@@ -172,3 +172,8 @@ def test_certificate_serialization(z15_cert):
     import json
 
     json.dumps(data)  # must be JSON-serializable
+
+
+def test_classify_tpp71_beyond_4096():
+    cert = ek.classify(ek.tpp_complement(71).D)  # G = 5183
+    assert cert.is_fine and cert.amalgam and not cert.is_composite

@@ -263,3 +263,24 @@ def test_cap_env_var_limits_subgroup_search(tmp_path, monkeypatch):
     assert run(["verify", path, "--check", "eitff", "--out-dir", tmp_path]) == 2
     monkeypatch.delenv("ETFKIT_CAP")
     assert run(["verify", path, "--check", "eitff", "--out-dir", tmp_path]) == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"group": [5], "elements": [[1]]},
+        {"group": {"cyclic_orders": 5}, "elements": [[1]]},
+        {"group": {"cyclic_orders": [5]}, "elements": 5},
+        {"group": {"cyclic_orders": [5]}, "elements": [1, 2]},
+        {"group": {"cyclic_orders": [5]}, "elements": [["a"]]},
+        {"group": {"cyclic_orders": [5]}, "elements": [[1]], "display_order": 5},
+        {"group": {"cyclic_orders": [5]}, "elements": [[1]], "subgroup": [0]},
+        [1, 2],
+    ],
+)
+def test_malformed_set_file_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert run(["classify", path, "--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -47,6 +47,13 @@ def test_equality_and_rationality():
     assert total.is_zero()
 
 
+def test_unhashable_since_equal_values_differ_in_form():
+    a, b = Cyclotomic(3, {0: 1, 1: 1}), Cyclotomic(3, {2: -1})
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_single_root_detection():
     assert Cyclotomic.root(7, 15, Fraction(-1, 2)).single_root() == (Fraction(-1, 2), 7, 15)
     # sum that collapses to a single root: w^3*(w^5 + w^10) = -w^3

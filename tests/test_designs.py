@@ -173,6 +173,12 @@ def test_simplicial_rds_quadratic_examples():
     assert not (set(sr.A.elements) & set(sr.K.elements))
 
 
+def test_simplicial_rds_quadratic_beyond_4096():
+    sr = ek.simplicial_rds_quadratic(67)
+    assert sr.group.order == 4488
+    assert ek.certify_rds(sr.A, sr.K).as_tuple() == (68, 66, 67, 1)
+
+
 def test_tpp_complement_q3():
     tc = ek.tpp_complement(3)
     assert tc.group.cyclic_orders == (3, 5)

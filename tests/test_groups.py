@@ -206,10 +206,24 @@ def test_autocorrelation_spectrum_identity():
 
 
 def test_character_table_orthogonality():
+    # column x holds conj(chi(x)) over all characters chi
     for orders in ([7], [2, 6], [4, 4]):
         g = ek.group_new(orders)
-        table = g.character_table
+        table = np.column_stack([ek.dft_numeric(IntVector.delta(g, x)) for x in g.elements])
         assert np.max(np.abs(table @ table.conj().T - g.order * np.eye(g.order))) < 1e-9
+
+
+def test_dft_numeric_beyond_4096_matches_oracle():
+    import random
+
+    rng = random.Random(5)
+    orders = [71, 73]  # order 5183
+    g = ek.group_new(orders)
+    support = rng.sample(g.elements, 40)
+    spectrum = ek.dft_numeric(IntVector.indicator(g, support))
+    for chi in rng.sample(g.characters, 25) + [g.zero]:
+        want = oracle_dft_value(orders, support, chi)
+        assert abs(spectrum[g.index_of(chi)] - want) < 1e-9
 
 
 def test_coset_character_sum_vanishes():

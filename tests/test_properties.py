@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import etfkit as ek
 from etfkit.groups import IntVector
 
-from conftest import oracle_is_difference_set, oracle_is_rds
+from conftest import oracle_difference_counts, oracle_is_difference_set, oracle_is_rds
 
 SMALL_ORDERS = st.sampled_from(
     [(4,), (6,), (7,), (9,), (12,), (2, 2), (2, 4), (3, 3), (2, 2, 3), (15,)]
@@ -39,6 +39,15 @@ def test_certify_matches_bruteforce_oracle(data):
         assert got == lam
     else:
         assert got is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_and_subset())
+def test_difference_counts_match_oracle(data):
+    g, els = data
+    want = oracle_difference_counts(g.cyclic_orders, els)
+    want[g.zero] = len(els)
+    assert ek.difference_counts(ek.subset(g, els)).values == want
 
 
 @settings(max_examples=40, deadline=None)
