@@ -108,10 +108,11 @@ def read_set(path: Path) -> tuple[designs.GroupSubset, Subgroup | None]:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or data.get("group") is None or data.get("elements") is None:
         raise ValueError(f"{path}: not a set file (missing group/elements)")
-    if not isinstance(data["group"], dict) or not _int_lists([data["group"].get("cyclic_orders")]):
+    if not isinstance(data["group"], dict) or not _ints(data["group"].get("cyclic_orders")):
         raise ValueError(f"{path}: group must be an object with integer cyclic_orders")
     for key in ("elements", "display_order", "subgroup"):
-        if data.get(key) is not None and not _int_lists(data[key]):
+        value = data.get(key)
+        if value is not None and not (isinstance(value, list) and all(map(_ints, value))):
             raise ValueError(f"{path}: {key} must be a list of integer lists")
     group = group_new(data["group"]["cyclic_orders"])
     display = data.get("display_order")
@@ -126,11 +127,9 @@ def read_set(path: Path) -> tuple[designs.GroupSubset, Subgroup | None]:
     return D, H
 
 
-def _int_lists(value) -> bool:
-    """Whether a JSON value is a list of lists of integers."""
-    return isinstance(value, list) and all(
-        isinstance(g, list) and all(isinstance(x, int) for x in g) for g in value
-    )
+def _ints(value) -> bool:
+    """Whether a JSON value is a list of integers."""
+    return isinstance(value, list) and all(isinstance(x, int) for x in value)
 
 
 # ---------------------------------------------------------------------------
