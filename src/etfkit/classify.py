@@ -11,8 +11,10 @@ Fourier side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+import numpy as np
+
+from .cyclotomic import _reduce
 from .designs import (
     GroupSubset,
     _check_spectrum,
@@ -21,7 +23,7 @@ from .designs import (
     non_ds_witness,
     welch_integer_S,
 )
-from .groups import Element, Subgroup, _dft_at, subgroups_of_order
+from .groups import Element, Subgroup, subgroups_of_order
 
 
 def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
@@ -56,14 +58,18 @@ def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> Subgroup | None:
 
 
 def _assert_fine_consistency(D: GroupSubset, H: Subgroup, s: int) -> None:
-    # (ii) the DFT of chi_D equals -D/S on the nontrivial annihilator, exactly
-    target = Fraction(-D.size, s)
-    chi_D = D.indicator()
-    for chi in H.annihilator().elements:
-        if chi == D.group.zero:
-            continue
-        if not (_dft_at(chi_D, chi) - target).is_zero():
-            raise AssertionError(f"fineness Fourier condition failed at {chi}")
+    # (ii) the DFT of chi_D equals -D/S on the nontrivial annihilator, exactly:
+    # row chi holds S * sum_d conj(chi(d)) + D, one batched zero test
+    G = D.group
+    ann = H.annihilator().elements[1:]  # [0] is the trivial character
+    n = len(ann)
+    exps = np.zeros((n, D.size + 1), dtype=np.int64)
+    exps[:, :-1] = -G._pair_exponents(ann, D.elements)
+    weights = np.tile([s] * D.size + [D.size], n)
+    _, rem = _reduce(G.exponent, n, np.repeat(np.arange(n), D.size + 1), exps.ravel(), weights)
+    zero = (rem == 0).all(axis=1)
+    if not zero.all():
+        raise AssertionError(f"fineness Fourier condition failed at {ann[np.argmin(zero)]}")
     # (iii) every coset off H meets D in exactly D/S points
     if D.size % s:
         raise AssertionError("S must divide D for a fine difference set")

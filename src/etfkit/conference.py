@@ -4,9 +4,9 @@ Route one starts from an amalgam: the entry at (g_bar, g_bar') collects
 gamma over the slice of the difference set in the coset g_bar - g_bar',
 scaled by S^(3/2)/D.  Route two starts from a simplicial RDS, where each
 off-diagonal entry is the single root of unity gamma(a) picked out by the
-transversal.  Both carry exact first columns; verification checks the zero
-diagonal, unimodularity, and C*C = S I exactly where possible and in doubles
-otherwise.
+transversal.  Both carry exact first columns; verification decides the zero
+diagonal, unimodularity and C*C = S I exactly and cross-checks them in
+doubles.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _reduce, _terms
 from .designs import GroupSubset
 from .groups import Character, Subgroup
 from .matrices import ComplexMatrix, from_cells
@@ -41,22 +41,15 @@ class CirculantConference:
         scale = math.sqrt(float(self.scale_sq))
         return np.array([complex(c) * scale for c in self.first_column])
 
-    def _delta_index(self) -> dict:
-        rep_of = self.subgroup.coset_rep
-        return {rep: i for i, rep in enumerate(self.coset_reps)}
+    def _difference_index(self) -> np.ndarray:
+        """(n, n) positions in the first column of the cosets g_i - g_j."""
+        idx = {rep: i for i, rep in enumerate(self.coset_reps)}
+        rep_of, sub = self.subgroup.coset_rep, self.subgroup.group.sub
+        return np.array([[idx[rep_of[sub(a, b)]] for b in self.coset_reps] for a in self.coset_reps])
 
     def materialize(self) -> ComplexMatrix:
         """Full matrix with entry (g_bar, g_bar') = first_column(g_bar - g_bar')."""
-        G = self.subgroup.group
-        idx = self._delta_index()
-        rep_of = self.subgroup.coset_rep
-        cells = [
-            [
-                self.first_column[idx[rep_of[G.sub(gi, gj)]]]
-                for gj in self.coset_reps
-            ]
-            for gi in self.coset_reps
-        ]
+        cells = [[self.first_column[k] for k in row] for row in self._difference_index().tolist()]
         return from_cells(self.coset_reps, self.coset_reps, cells, self.scale_sq)
 
 
@@ -89,12 +82,6 @@ class ConferenceReport:
         }
 
 
-def _reject_annihilator(H: Subgroup, gamma: Character) -> None:
-    G = H.group
-    if all(G.char_exponent(gamma, h) == 0 for h in H.elements):
-        raise ValueError("gamma lies in the annihilator of H; no conference matrix")
-
-
 def conference_from_amalgam(D: GroupSubset, H: Subgroup, gamma: Character) -> CirculantConference:
     """First column y(g_bar) = (S^(3/2)/D) sum_{d in D, d_bar = g_bar} gamma(d).
 
@@ -114,27 +101,30 @@ def conference_from_srds(A: GroupSubset, H: Subgroup, gamma: Character) -> Circu
 
 def _coset_sums(X: GroupSubset, H: Subgroup, gamma: Character) -> tuple[tuple, tuple, int]:
     """(coset representatives, exact sum of gamma over X in each coset, S):
-    the unscaled first column both conference routes share."""
+    the unscaled first column both conference routes share, built in one
+    pass as (coset, gamma-exponent) counts."""
     if X.group != H.group:
         raise ValueError("subset and subgroup must share a group")
-    _reject_annihilator(H, gamma)
+    if H.annihilator().contains(gamma):
+        raise ValueError("gamma lies in the annihilator of H; no conference matrix")
     G = X.group
-    L = G.exponent
-    reps = [g for g, _ in H.cosets]
     rep_of = H.coset_rep
-    sums = {rep: Cyclotomic.zero(L) for rep in reps}
-    for x in X.elements:
-        sums[rep_of[x]] = sums[rep_of[x]] + Cyclotomic.root(G.char_exponent(gamma, x), L)
-    return tuple(reps), tuple(sums[rep] for rep in reps), G.order // H.order - 1
+    counts: dict = {g: {} for g, _ in H.cosets}
+    for x, e in zip(X.elements, G._pair_exponents([gamma], X.elements)[0].tolist()):
+        row = counts[rep_of[x]]
+        row[e] = row.get(e, 0) + 1
+    column = tuple(Cyclotomic(G.exponent, row) for row in counts.values())
+    return tuple(counts), column, G.order // H.order - 1
 
 
 def verify_conference(C: CirculantConference, tol: float = 1e-9) -> ConferenceReport:
-    """Residuals for zero diagonal, unimodular off-diagonal, C*C = S I, and
-    the circulant structure; exact root-of-unity checks alongside doubles."""
-    G = C.subgroup.group
+    """Zero diagonal, unimodular off-diagonal and C*C = S I, decided exactly;
+    the double-precision residuals (and the circulant structure) must agree,
+    else AssertionError."""
     col = C.column_complex()
     n = C.size
-    zero_idx = C._delta_index()[C.subgroup.coset_rep[G.zero]]
+    diff = C._difference_index()
+    zero_idx = int(diff[0, 0])
     zero_res = abs(col[zero_idx])
     off = np.delete(col, zero_idx)
     uni_res = float(np.max(np.abs(np.abs(off) - 1.0))) if off.size else 0.0
@@ -145,29 +135,19 @@ def verify_conference(C: CirculantConference, tol: float = 1e-9) -> ConferenceRe
 
     # the materialized matrix is circulant by construction; re-derive the
     # residual from the definition as a guard
-    idx = C._delta_index()
-    rep_of = C.subgroup.coset_rep
-    circ_res = 0.0
-    for i, gi in enumerate(C.coset_reps):
-        for j, gj in enumerate(C.coset_reps):
-            k = idx[rep_of[G.sub(gi, gj)]]
-            circ_res = max(circ_res, abs(full.values[i, j] - col[k]))
+    circ_res = float(np.max(np.abs(full.values - col[diff])))
 
     exact_zero = C.first_column[zero_idx].is_zero()
-    inv_scale = 1 / C.scale_sq
-    exact_uni = all(
-        (c.abs_squared() - inv_scale).is_zero()
-        for k, c in enumerate(C.first_column)
-        if k != zero_idx
-    )
-    exact_auto = _exact_autocorrelation(C)
-
-    passed = bool(
+    exact_uni, exact_auto = _exact_flags(C, diff)
+    passed = exact_zero and exact_uni and exact_auto
+    numeric = bool(
         zero_res <= tol
         and uni_res <= tol
         and prod_res <= tol * max(1.0, C.s)
         and circ_res <= tol
     )
+    if numeric != passed:
+        raise AssertionError("float conference verdict disagrees with the exact checks")
     return ConferenceReport(
         n, C.s, passed, float(zero_res), uni_res, prod_res, circ_res,
         exact_zero_diagonal=exact_zero,
@@ -176,23 +156,33 @@ def verify_conference(C: CirculantConference, tol: float = 1e-9) -> ConferenceRe
     )
 
 
-def _exact_autocorrelation(C: CirculantConference) -> bool:
-    """Whether conj(y) star y = S delta_0 exactly, over the quotient."""
-    G = C.subgroup.group
-    idx = C._delta_index()
-    rep_of = C.subgroup.coset_rep
-    y = {rep: c for rep, c in zip(C.coset_reps, C.first_column)}
-    target = Fraction(C.s) / C.scale_sq
-    for delta in C.coset_reps:
-        acc = None
-        for rep in C.coset_reps:
-            shifted = y[rep_of[G.add(rep, delta)]]
-            term = y[rep].conjugate() * shifted
-            acc = term if acc is None else acc + term
-        want = target if rep_of[delta] == rep_of[G.zero] else 0
-        if not (acc - want).is_zero():
-            return False
-    return True
+def _exact_flags(C: CirculantConference, diff: np.ndarray) -> tuple[bool, bool]:
+    """Unimodularity and conj(y) star y = S delta_0, exactly, in one
+    batched zero test.
+
+    With y_a = sum_t num_t w^e_t / den over the terms t of cell a, each pair
+    of terms (i in cell a, j in cell b) adds num_i num_j w^(e_j - e_i) to
+    the autocorrelation at the coset of g_b - g_a and, when a = b, to
+    |y_a|^2.  Scaled by p/q = scale_sq, the targets at w^0 are q den^2 for
+    |y_a|^2 and S q den^2 at the zero coset.
+    """
+    n, zero_idx = C.size, int(diff[0, 0])
+    modulus, den, cell, exp, num = _terms(C.first_column)
+    p, unit = C.scale_sq.numerator, C.scale_sq.denominator * den * den
+    if int(np.abs(num).max(initial=0)) ** 2 * p + C.s * unit < 2**62:
+        num = num.astype(np.int64)
+    i, j = (a.ravel() for a in np.indices((len(exp), len(exp))))
+    same = cell[i] == cell[j]
+    pair_exp, pair_weight = exp[j] - exp[i], num[i] * num[j] * p
+    # rows: |y_a|^2 at a < n, the autocorrelation at n + delta
+    rows = [cell[i][same], np.arange(n), n + diff[cell[j], cell[i]], [n + zero_idx]]
+    exps = [pair_exp[same], np.zeros(n, dtype=np.int64), pair_exp, [0]]
+    weights = [pair_weight[same], np.full(n, -unit, dtype=num.dtype), pair_weight,
+               np.array([-C.s * unit], dtype=num.dtype)]
+    _, rem = _reduce(modulus, 2 * n, np.concatenate(rows), np.concatenate(exps),
+                     np.concatenate(weights))
+    ok = (rem == 0).all(axis=1)
+    return bool(np.delete(ok[:n], zero_idx).all()), bool(ok[n:].all())
 
 
 @dataclass(frozen=True)
@@ -229,7 +219,7 @@ def scalar_relation_check(
     c_srds = conference_from_srds(A, H, gamma)
     col_a = c_amalgam.column_complex()
     col_s = c_srds.column_complex()
-    zero_idx = c_amalgam._delta_index()[H.coset_rep[G.zero]]
+    zero_idx = int(c_amalgam._difference_index()[0, 0])
     ratios = [
         col_a[k] / col_s[k] for k in range(len(col_a)) if k != zero_idx
     ]

@@ -3,8 +3,9 @@
 Character values are exact roots of unity ``w_L^e`` (integer exponent mod L);
 Fourier-side identities are sums of such roots with rational coefficients,
 i.e. elements of the cyclotomic field Q(zeta_L).  Zero-testing reduces the
-exponent representation modulo the L-th cyclotomic polynomial, so equalities
-like ``w^5 + w^10 = -1`` (L = 15) are decided exactly, with no floats.
+integer coefficients modulo the m-th cyclotomic polynomial, m the smallest
+modulus carrying the exponents, so equalities like ``w^5 + w^10 = -1``
+(L = 15) are decided exactly, with no floats.
 """
 
 from __future__ import annotations
@@ -13,49 +14,41 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, lcm, prod
+
+import numpy as np
+
+from .fields import prime_factors
 
 
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den is monic, division is known to be exact (integer quotient)
-    num = list(num)
-    deg_d = len(den) - 1
-    out = [0] * (len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c:
-            out[i - deg_d] = c
-            for k, dk in enumerate(den):
-                num[i - deg_d + k] -= c * dk
-    if any(num[:deg_d]):
-        raise ArithmeticError("polynomial division was not exact")
+def _mobius_product(n: int, sign: int, deg: int) -> list[int]:
+    """Coefficients up to x^deg of prod over d | n, d < n, of
+    (1 - x^d)^(sign * mu(n/d)), as a power series."""
+    out = [1] + [0] * deg
+    primes = prime_factors(n)
+    for k in range(1, len(primes) + 1):
+        for ps in combinations(primes, k):
+            d = n // prod(ps)
+            if (-1) ** k * sign > 0:  # times 1 - x^d
+                for i in range(deg, d - 1, -1):
+                    out[i] -= out[i - d]
+            else:  # divided by 1 - x^d
+                for i in range(d, deg + 1):
+                    out[i] += out[i - d]
     return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
+    """Coefficients of the n-th cyclotomic polynomial, ascending degree:
+    prod over d | n of (1 - x^d)^mu(n/d) for n > 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n):
-        if d < n:
-            poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    primes = prime_factors(n)
+    return tuple(_mobius_product(n, 1, n // prod(primes) * prod(p - 1 for p in primes)))
 
 
 @lru_cache(maxsize=None)
@@ -106,30 +99,39 @@ class RootOfUnity:
         return _complex_roots(self.modulus)[self.exponent]
 
     def as_cyclotomic(self) -> "Cyclotomic":
-        return Cyclotomic(self.modulus, {self.exponent: Fraction(1)})
+        return Cyclotomic(self.modulus, {self.exponent: 1})
 
 
 class Cyclotomic:
-    """A finite sum ``sum_e c_e * w_L^e`` with rational coefficients c_e."""
+    """A finite sum ``sum_e c_e * w_L^e`` with rational coefficients c_e,
+    held as integer numerators (sparse, by exponent) over one positive
+    denominator."""
 
-    __slots__ = ("modulus", "coeffs")
+    __slots__ = ("modulus", "_num", "_den")
 
-    def __init__(self, modulus: int, coeffs: dict[int, Fraction] | None = None):
+    def __init__(self, modulus: int, coeffs: dict[int, int | Fraction] | None = None):
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        self.modulus = modulus
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    e %= modulus
-                    acc = clean.get(e)
-                    s = c if acc is None else acc + c
-                    if s:
-                        clean[e] = Fraction(s)
-                    elif acc is not None:
-                        del clean[e]
-        self.coeffs = clean
+        den = 1
+        if coeffs and any(type(c) is not int for c in coeffs.values()):
+            coeffs = {e: Fraction(c) for e, c in coeffs.items()}
+            den = lcm(*(c.denominator for c in coeffs.values()))
+            coeffs = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        num: dict[int, int] = {}
+        for e, c in (coeffs or {}).items():
+            num[e % modulus] = num.get(e % modulus, 0) + c
+        self.modulus, self._num, self._den = modulus, {e: n for e, n in num.items() if n}, den
+
+    @classmethod
+    def _make(cls, modulus: int, num: dict[int, int], den: int) -> "Cyclotomic":
+        """From nonzero numerators of exponents already reduced mod ``modulus``."""
+        out = object.__new__(cls)
+        out.modulus, out._num, out._den = modulus, num, den
+        return out
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        return {e: Fraction(n, self._den) for e, n in self._num.items()}
 
     # -- constructors ------------------------------------------------
     @classmethod
@@ -138,11 +140,11 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, value, modulus: int) -> "Cyclotomic":
-        return cls(modulus, {0: Fraction(value)})
+        return cls(modulus, {0: value})
 
     @classmethod
     def root(cls, exponent: int, modulus: int, coeff=1) -> "Cyclotomic":
-        return cls(modulus, {exponent: Fraction(coeff)})
+        return cls(modulus, {exponent: coeff})
 
     @classmethod
     def _coerce(cls, value, modulus: int) -> "Cyclotomic":
@@ -159,7 +161,7 @@ class Cyclotomic:
         if new_modulus % self.modulus:
             raise ValueError("new modulus must be a multiple of the old one")
         k = new_modulus // self.modulus
-        return Cyclotomic(new_modulus, {e * k: c for e, c in self.coeffs.items()})
+        return Cyclotomic._make(new_modulus, {e * k: n for e, n in self._num.items()}, self._den)
 
     def _pair(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
         other = Cyclotomic._coerce(other, self.modulus)
@@ -170,15 +172,17 @@ class Cyclotomic:
 
     def __add__(self, other) -> "Cyclotomic":
         a, b = self._pair(other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Cyclotomic(a.modulus, out)
+        den = lcm(a._den, b._den)
+        ka, kb = den // a._den, den // b._den
+        out = {e: n * ka for e, n in a._num.items()}
+        for e, n in b._num.items():
+            out[e] = out.get(e, 0) + n * kb
+        return Cyclotomic._make(a.modulus, {e: n for e, n in out.items() if n}, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.modulus, {e: -c for e, c in self.coeffs.items()})
+        return Cyclotomic._make(self.modulus, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "Cyclotomic":
         return self + (-Cyclotomic._coerce(other, self.modulus))
@@ -188,71 +192,55 @@ class Cyclotomic:
 
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.modulus, {e: c * other for e, c in self.coeffs.items()})
+            q = Fraction(other)
+            num = {e: n * q.numerator for e, n in self._num.items()} if q else {}
+            return Cyclotomic._make(self.modulus, num, self._den * q.denominator)
         a, b = self._pair(other)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         m = a.modulus
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
+        for e1, n1 in a._num.items():
+            for e2, n2 in b._num.items():
                 e = (e1 + e2) % m
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Cyclotomic(m, out)
+                out[e] = out.get(e, 0) + n1 * n2
+        return Cyclotomic._make(m, {e: n for e, n in out.items() if n}, a._den * b._den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
-        return Cyclotomic(self.modulus, {-e: c for e, c in self.coeffs.items()})
+        m = self.modulus
+        return Cyclotomic._make(m, {-e % m: n for e, n in self._num.items()}, self._den)
 
     def abs_squared(self) -> "Cyclotomic":
         return self * self.conjugate()
 
     # -- canonical form and predicates ----------------------------------
+    def _remainder(self) -> tuple[int, np.ndarray]:
+        """(m, numerators reduced mod Phi_m) at the smallest modulus m."""
+        modulus, _, row, exp, num = _terms([self])
+        m, rows = _reduce(modulus, 1, row, exp, num)
+        return m, rows[0]
+
     def canonical(self) -> tuple[int, tuple[Fraction, ...]]:
         """(m, coefficients of the reduction mod Phi_m in the power basis)."""
-        if not self.coeffs:
-            return 1, (Fraction(0),)
-        g = self.modulus
-        for e in self.coeffs:
-            g = gcd(g, e)
-            if g == 1:
-                break
-        m = self.modulus // g
-        phi = cyclotomic_polynomial(m)
-        deg = len(phi) - 1
-        poly = [Fraction(0)] * m
-        for e, c in self.coeffs.items():
-            poly[e // g] += c
-        # reduce mod the monic integer polynomial phi
-        for i in range(m - 1, deg - 1, -1):
-            c = poly[i]
-            if c:
-                poly[i] = Fraction(0)
-                for k in range(deg):
-                    poly[i - deg + k] -= c * phi[k]
-        out = poly[:deg]
-        return m, tuple(out if out else [Fraction(0)])
+        m, rem = self._remainder()
+        return m, tuple(Fraction(c, self._den) for c in rem.tolist())
 
     def is_zero(self) -> bool:
-        if not self.coeffs:
-            return True
-        _, rep = self.canonical()
-        return not any(rep)
+        return not self._num or bool((self._remainder()[1] == 0).all())
 
     def as_rational(self) -> Fraction | None:
-        if not self.coeffs:
-            return Fraction(0)
-        _, rep = self.canonical()
-        if any(rep[1:]):
+        _, rem = self._remainder()
+        if (rem[1:] != 0).any():
             return None
-        return rep[0]
+        return Fraction(int(rem[0]), self._den)
 
     def single_root(self) -> tuple[Fraction, int, int] | None:
         """Decompose as ``q * w_modulus^e`` if possible: returns (q, e, modulus)."""
-        if not self.coeffs:
+        if not self._num:
             return Fraction(0), 0, self.modulus
-        if len(self.coeffs) == 1:
-            (e, c), = self.coeffs.items()
-            return c, e, self.modulus
+        if len(self._num) == 1:
+            (e, n), = self._num.items()
+            return Fraction(n, self._den), e, self.modulus
         r = self.as_rational()
         if r is not None:
             return r, 0, self.modulus
@@ -274,10 +262,68 @@ class Cyclotomic:
 
     def __complex__(self) -> complex:
         roots = _complex_roots(self.modulus)
-        return sum((complex(c) * roots[e] for e, c in self.coeffs.items()), 0j)
+        d = self._den
+        return sum((complex(n / d) * roots[e] for e, n in self._num.items()), 0j)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._num:
             return f"Cyclotomic({self.modulus}, 0)"
         terms = " + ".join(f"{c}*w^{e}" for e, c in sorted(self.coeffs.items()))
         return f"Cyclotomic({self.modulus}, {terms})"
+
+
+@lru_cache(maxsize=None)
+def _division_plan(m: int) -> tuple[int, int, tuple[int, ...], int]:
+    """(r, s, Phi_r, growth) for reducing mod Phi_m = Phi_r(x^s), r = rad(m).
+
+    Long division by Phi_r subtracts r - deg quotient coefficients times
+    Phi_r; those are coefficients of f * (x^r - 1) / Phi_r, so no value on
+    the way exceeds ``growth`` times the L1 norm of f.
+    """
+    r = prod(prime_factors(m))
+    phi = cyclotomic_polynomial(r)
+    steps = r - len(phi) + 1
+    psi = _mobius_product(r, -1, steps)
+    return r, m // r, phi, 1 + steps * max(map(abs, psi)) * max(map(abs, phi))
+
+
+def _reduce(modulus: int, nrows: int, row, exp, weight) -> tuple[int, np.ndarray]:
+    """Rows ``sum weight[t] * w_modulus^exp[t]`` over the terms t with
+    ``row[t] = i``, i < nrows, at the smallest modulus m carrying every
+    exponent, reduced mod Phi_m: (m, integer remainders in the power basis).
+    Every exact zero test is a check that a row's remainders are all zero.
+    The work is in int64 when the L1 norm of ``weight`` times the
+    ``_division_plan`` growth is below 2**62, else in Python integers.
+    """
+    exp = np.asarray(exp, dtype=np.int64) % modulus
+    g = int(np.gcd.reduce(exp, initial=modulus))
+    m = modulus // g
+    r, s, phi, growth = _division_plan(m)
+    k = len(phi) - 1
+    norm = float(np.abs(weight).sum(dtype=np.float64))
+    dtype = np.int64 if norm * growth < 2**62 else object
+    rows = np.zeros((nrows, m), dtype=dtype)
+    np.add.at(rows, (row, exp // g), np.asarray(weight).astype(dtype))
+    # Phi_m(x) = Phi_r(y) with y = x^s: divide each column b of
+    # x^(a s + b) -> rows[:, a, b] as a polynomial in y
+    rows = rows.reshape(nrows, r, s)
+    low = np.array(phi[:k], dtype=dtype)[:, None]
+    for i in range(r - 1, k - 1, -1):
+        rows[:, i - k:i] -= rows[:, i, None] * low
+    return m, rows[:, :k].reshape(nrows, k * s)
+
+
+def _terms(values) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """(modulus, den, value, exp, num): term t of the values at their common
+    modulus and denominator is ``num[t] / den * w^exp[t]`` in ``values[value[t]]``."""
+    modulus = lcm(*(v.modulus for v in values))
+    den = lcm(*(v._den for v in values))
+    value, exp, num = [], [], []
+    for k, v in enumerate(values):
+        scale, factor = modulus // v.modulus, den // v._den
+        for e, n in v._num.items():
+            value.append(k)
+            exp.append(e * scale)
+            num.append(n * factor)
+    return (modulus, den, np.array(value, dtype=np.int64), np.array(exp, dtype=np.int64),
+            np.array(num, dtype=object))

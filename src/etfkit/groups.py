@@ -9,7 +9,6 @@ matrix built downstream inherits it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
@@ -109,6 +108,15 @@ class AbelianGroup:
         L = self.exponent
         return sum(m * r * (L // n) for m, r, n in zip(chi, g, self.cyclic_orders)) % L
 
+    def _pair_exponents(self, characters, elements) -> np.ndarray:
+        """Exponent mod L of chi(g) for every (chi, g) pair, one integer
+        product: (characters * L/n) @ elements^T."""
+        rank = len(self.cyclic_orders)
+        weights = np.array([self.exponent // n for n in self.cyclic_orders], dtype=np.int64)
+        chars = np.array(characters, dtype=np.int64).reshape(-1, rank) * weights
+        els = np.array(elements, dtype=np.int64).reshape(-1, rank)
+        return (chars @ els.T) % self.exponent
+
     def char_value(self, chi: Character, g: Element) -> RootOfUnity:
         if len(chi) != len(self.cyclic_orders) or len(g) != len(self.cyclic_orders):
             raise ValueError("character/element length does not match the group rank")
@@ -204,19 +212,22 @@ def convolve(x: IntVector, y: IntVector) -> IntVector:
 
 
 def dft(x: IntVector) -> dict[Character, Cyclotomic]:
-    """Exact DFT: (F*x)(chi) = sum_g conj(chi(g)) x(g), for every character."""
-    return {chi: _dft_at(x, chi) for chi in x.group.characters}
+    """Exact DFT: (F*x)(chi) = sum_g conj(chi(g)) x(g), for every character.
 
-
-def _dft_at(x: IntVector, chi: Character) -> Cyclotomic:
-    """The exact DFT of x at one character."""
+    The exponents of every (character, support point) pair come from one
+    integer product; each character's value counts them.
+    """
     G = x.group
     L = G.exponent
-    coeffs: dict[int, Fraction] = {}
-    for g, v in x.values.items():
-        e = (-G.char_exponent(chi, g)) % L
-        coeffs[e] = coeffs.get(e, Fraction(0)) + v
-    return Cyclotomic(L, coeffs)
+    values = list(x.values.values())
+    table = (-G._pair_exponents(G.characters, list(x.values))) % L
+    out = {}
+    for chi, row in zip(G.characters, table.tolist()):
+        counts: dict[int, int] = {}
+        for e, v in zip(row, values):
+            counts[e] = counts.get(e, 0) + v
+        out[chi] = Cyclotomic(L, counts)
+    return out
 
 
 def dft_numeric(x: IntVector) -> np.ndarray:
@@ -293,13 +304,13 @@ class Subgroup:
 
     def annihilator(self) -> "Subgroup":
         """Characters trivial on this subgroup, as a Subgroup of the dual."""
+        return self._annihilator
+
+    @cached_property
+    def _annihilator(self) -> "Subgroup":
         G = self.group
-        ann = [
-            chi
-            for chi in G.characters
-            if all(G.char_exponent(chi, h) == 0 for h in self.elements)
-        ]
-        out = Subgroup(G, tuple(ann))
+        trivial = (G._pair_exponents(G.characters, self.elements) == 0).all(axis=1)
+        out = Subgroup(G, tuple(chi for chi, t in zip(G.characters, trivial) if t))
         assert out.order * self.order == G.order
         return out
 

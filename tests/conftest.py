@@ -1,13 +1,16 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here use nothing from the package's computational paths: plain
-modular arithmetic on residue tuples and direct cmath sums.  Tests compare
-library certifications against these.
+modular arithmetic on residue tuples, direct cmath sums and sympy's
+polynomial remainder.  Tests compare library certifications against these.
+The one exception is ``reference_exact_autocorrelation``, an earlier
+implementation kept to pin down its replacement.
 """
 
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +85,60 @@ def oracle_dft_value(orders, elements, chi) -> complex:
         e = sum(m * r * (L // n) for m, r, n in zip(chi, g, orders)) % L
         total += cmath.exp(-2j * cmath.pi * e / L)
     return total
+
+
+def oracle_annihilator(orders, subgroup_elements) -> set:
+    """Characters chi with chi(h) = 1 (in complex doubles) on every h."""
+    from itertools import product
+
+    out = set()
+    for chi in product(*(range(n) for n in orders)):
+        values = (
+            cmath.exp(2j * cmath.pi * sum(m * r / n for m, r, n in zip(chi, h, orders)))
+            for h in subgroup_elements
+        )
+        if all(abs(v - 1) < 1e-9 for v in values):
+            out.add(chi)
+    return out
+
+
+def oracle_remainder(modulus: int, coeffs: dict) -> dict:
+    """sum_e c_e x^e reduced mod the modulus-th cyclotomic polynomial by
+    sympy, as {degree: Fraction} over the nonzero coefficients."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sum(
+        (sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x ** (e % modulus)
+         for e, c in coeffs.items()),
+        sympy.Integer(0),
+    )
+    rem = sympy.Poly(sympy.rem(poly, sympy.cyclotomic_poly(modulus, x), x), x)
+    return {k: Fraction(int(c.p), int(c.q)) for (k,), c in rem.terms() if c}
+
+
+def oracle_vanishes(modulus: int, coeffs: dict) -> bool:
+    """Whether sum_e c_e w^e is zero for w a primitive modulus-th root of unity."""
+    return not oracle_remainder(modulus, coeffs)
+
+
+def reference_exact_autocorrelation(C) -> bool:
+    """Whether conj(y) star y = S delta_0 exactly over the quotient, from
+    the n^2 products of first-column entries (the implementation that the
+    batched pair count in ``verify_conference`` replaced)."""
+    G = C.subgroup.group
+    rep_of = C.subgroup.coset_rep
+    y = dict(zip(C.coset_reps, C.first_column))
+    target = Fraction(C.s) / C.scale_sq
+    for delta in C.coset_reps:
+        acc = None
+        for rep in C.coset_reps:
+            term = y[rep].conjugate() * y[rep_of[G.add(rep, delta)]]
+            acc = term if acc is None else acc + term
+        want = target if rep_of[delta] == rep_of[G.zero] else 0
+        if not (acc - want).is_zero():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 import etfkit as ek
 from etfkit.cyclotomic import Cyclotomic
 
+from conftest import reference_exact_autocorrelation
+
 W = lambda e: Cyclotomic.root(e, 15)
 
 
@@ -171,3 +173,59 @@ def test_first_column_autocorrelation_exact(z15_H):
     A = ek.cyclic_subset(15, [1, 2, 8, 4])
     conf = ek.conference_from_srds(A, z15_H, (2,))
     assert ek.verify_conference(conf).exact_autocorrelation
+
+
+def test_float_verdict_disagreeing_with_exact_flags_raises():
+    # tpp q=17 is fine but not an amalgam: the amalgam-route column is not
+    # unimodular, which a loose tolerance would let the doubles accept
+    tc = ek.tpp_complement(17)
+    ann = set(tc.H.annihilator().elements)
+    gamma = next(c for c in tc.group.characters if c not in ann)
+    conf = ek.conference_from_amalgam(tc.D, tc.H, gamma)
+    report = ek.verify_conference(conf)
+    assert not report.passed and not report.exact_unimodular
+    with pytest.raises(AssertionError):
+        ek.verify_conference(conf, tol=10.0)
+
+
+def _conference_cases():
+    z15 = ek.cyclic_subset(15, [6, 11, 7, 12, 13, 3, 9, 14])
+    tc, mcf = ek.tpp_complement(11), ek.mcfarland(2, 2)
+    srds = {q: ek.simplicial_rds_quadratic(q) for q in (5, 7)}
+    return [
+        pytest.param(ek.conference_from_amalgam, z15, ek.classify(z15).fine_subgroup, True, id="z15"),
+        *(pytest.param(ek.conference_from_srds, sr.A, sr.K, True, id=f"srds{q}")
+          for q, sr in srds.items()),
+        pytest.param(ek.conference_from_amalgam, tc.D, tc.H, True, id="tpp11"),
+        # fine but not an amalgam: verification fails through exact_unimodular
+        pytest.param(ek.conference_from_amalgam, mcf.D, mcf.H, False, id="mcfarland22"),
+    ]
+
+
+@pytest.mark.parametrize("build, X, H, conference", _conference_cases())
+def test_exact_autocorrelation_matches_reference_for_every_gamma(build, X, H, conference):
+    ann = set(H.annihilator().elements)
+    for gamma in X.group.characters:
+        if gamma in ann:
+            continue
+        conf = build(X, H, gamma)
+        report = ek.verify_conference(conf)
+        assert report.exact_autocorrelation == reference_exact_autocorrelation(conf), gamma
+        assert report.passed == report.exact_unimodular == conference, gamma
+
+
+def test_unimodular_column_with_nonzero_off_peak_autocorrelation_fails():
+    # first column (0, 1, i) over Z_3: unimodular, and |1 + i|^2 = S = 2, but
+    # the autocorrelation at the shift by one is i, not 0
+    g = ek.group_new([3])
+    conf = ek.CirculantConference(
+        ek.Subgroup.trivial(g),
+        g.elements,
+        (Cyclotomic.zero(4), Cyclotomic.root(0, 4), Cyclotomic.root(1, 4)),
+        Fraction(1),
+        2,
+    )
+    report = ek.verify_conference(conf)
+    assert report.exact_zero_diagonal and report.exact_unimodular
+    assert not report.exact_autocorrelation and not reference_exact_autocorrelation(conf)
+    assert not report.passed

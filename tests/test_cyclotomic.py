@@ -1,7 +1,10 @@
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from etfkit.cyclotomic import (
     Cyclotomic,
@@ -9,6 +12,8 @@ from etfkit.cyclotomic import (
     cyclotomic_polynomial,
     rational_sqrt,
 )
+
+from conftest import oracle_remainder, oracle_vanishes
 
 
 def test_cyclotomic_polynomial_known_values():
@@ -174,3 +179,81 @@ def test_ring_axioms_on_random_elements():
         assert abs(complex(a * b + c) - (complex(a) * complex(b) + complex(c))) < 1e-9
         # |ab|^2 = |a|^2 |b|^2 exactly
         assert ((a * b).abs_squared() - a.abs_squared() * b.abs_squared()).is_zero()
+
+
+MODULI = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30]
+
+# small integers, integers far beyond int64, and fractions
+COEFFS = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-2**80, 2**80),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@st.composite
+def cyclotomic_values(draw):
+    """(modulus, coefficients): a combination of the vanishing sums of w^e
+    over cosets of an order-p subgroup, plus a few free terms, so that
+    zero, rational and irrational values all come up often."""
+    m = draw(st.sampled_from(MODULI))
+    coeffs: dict = {}
+
+    def add(e, c):
+        coeffs[e % m] = coeffs.get(e % m, 0) + c
+
+    primes = [p for p in (2, 3, 5) if m % p == 0]
+    for _ in range(draw(st.integers(0, 3)) if primes else 0):
+        p, i, c = draw(st.sampled_from(primes)), draw(st.integers(0, m - 1)), draw(COEFFS)
+        for j in range(p):
+            add(i + j * m // p, c)
+    for _ in range(draw(st.integers(0, 2))):
+        add(draw(st.one_of(st.just(0), st.integers(0, m - 1))), draw(COEFFS))
+    return m, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclotomic_values())
+def test_reduction_matches_sympy_oracle(data):
+    m, coeffs = data
+    x = Cyclotomic(m, coeffs)
+    want = oracle_remainder(m, coeffs)
+    assert x.is_zero() == (not want)
+    assert x.as_rational() == (want.get(0, Fraction(0)) if set(want) <= {0} else None)
+    # canonical form: the smallest modulus carrying the support, and the
+    # remainder there, one coefficient per power below phi(k)
+    support = [e for e, c in coeffs.items() if c]
+    g = gcd(m, *support)
+    k, rep = x.canonical()
+    assert k == m // g
+    assert len(rep) == sympy.totient(k)
+    assert {i: c for i, c in enumerate(rep) if c} == oracle_remainder(
+        k, {e // g: coeffs[e] for e in support}
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_values(), cyclotomic_values())
+def test_mixed_moduli_sums_and_products_match_sympy_oracle(a, b):
+    (m1, c1), (m2, c2) = a, b
+    L = lcm(m1, m2)
+    total, product = {}, {}
+    for e1, v1 in c1.items():
+        total[e1 * (L // m1)] = total.get(e1 * (L // m1), 0) + v1
+        for e2, v2 in c2.items():
+            e = (e1 * (L // m1) + e2 * (L // m2)) % L
+            product[e] = product.get(e, 0) + v1 * v2
+    for e2, v2 in c2.items():
+        total[e2 * (L // m2)] = total.get(e2 * (L // m2), 0) + v2
+    x, y = Cyclotomic(m1, c1), Cyclotomic(m2, c2)
+    assert (x + y).modulus == L and (x * y).modulus == L
+    assert (x + y).is_zero() == oracle_vanishes(L, total)
+    assert (x * y).is_zero() == oracle_vanishes(L, product)
+    assert (x == -y) == oracle_vanishes(L, total)
+
+
+def test_coefficients_beyond_int64_never_wrap():
+    big = {0: 2**70, 5: 2**70, 10: 2**70}
+    assert Cyclotomic(15, big).is_zero()
+    assert not Cyclotomic(15, {**big, 5: 2**70 + 1}).is_zero()
+    assert Cyclotomic(15, {**big, 5: 2**70 + 1}).as_rational() is None

@@ -5,7 +5,7 @@ import etfkit as ek
 from etfkit.cyclotomic import Cyclotomic
 from etfkit.groups import IntVector
 
-from conftest import oracle_dft_value
+from conftest import oracle_annihilator, oracle_dft_value
 
 
 def test_group_new_examples():
@@ -224,6 +224,15 @@ def test_dft_numeric_beyond_4096_matches_oracle():
     for chi in rng.sample(g.characters, 25) + [g.zero]:
         want = oracle_dft_value(orders, support, chi)
         assert abs(spectrum[g.index_of(chi)] - want) < 1e-9
+
+
+@pytest.mark.parametrize("orders", [[12], [2, 4], [3, 3]], ids=str)
+def test_annihilator_matches_complex_oracle_on_every_subgroup(orders):
+    g = ek.group_new(orders)
+    for H in ek.all_subgroups(g):
+        ann = H.annihilator()
+        assert set(ann.elements) == oracle_annihilator(orders, H.elements)
+        assert H.annihilator() is ann  # computed once per subgroup
 
 
 def test_coset_character_sum_vanishes():
