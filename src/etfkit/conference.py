@@ -20,7 +20,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic, _reduce, _terms
 from .designs import GroupSubset
 from .groups import Character, Subgroup
-from .matrices import ComplexMatrix, from_cells
+from .matrices import ComplexMatrix, ExactForm, _exact_terms, _matrix, _pairs
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,11 @@ class CirculantConference:
 
     def materialize(self) -> ComplexMatrix:
         """Full matrix with entry (g_bar, g_bar') = first_column(g_bar - g_bar')."""
-        cells = [[self.first_column[k] for k in row] for row in self._difference_index().tolist()]
-        return from_cells(self.coset_reps, self.coset_reps, cells, self.scale_sq)
+        n = self.size
+        modulus, den, value, exp, num, roots = _exact_terms(self.first_column)
+        cell, t = _pairs(self._difference_index().ravel(), np.bincount(value, minlength=n))
+        exact = ExactForm(self.scale_sq, (n, n), modulus, den, cell, exp[t], num[t])
+        return _matrix(self.coset_reps, self.coset_reps, exact, roots[t])
 
 
 @dataclass(frozen=True)

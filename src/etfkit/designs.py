@@ -424,7 +424,7 @@ def mcfarland(q: int, j: int, k_orders=None) -> McFarlandSet:
     d_els = set()
     for k, c in zip(k_nonzero, functionals):
         for v in vectors:
-            if _dot(F, c, v) == F.zero:
+            if _inner(F, c, v) == F.zero:
                 d_els.add(tuple(k) + flat(v))
     D = GroupSubset(G, tuple(sorted(d_els)))
     H = Subgroup(G, tuple(sorted(tuple(K.zero) + flat(v) for v in vectors)))
@@ -446,7 +446,7 @@ def _first_nonzero_is_one(F: FiniteField, v) -> bool:
     return False
 
 
-def _dot(F: FiniteField, a, b):
+def _inner(F: FiniteField, a, b):
     out = F.zero
     for x, y in zip(a, b):
         out = F.add(out, F.mul(x, y))

@@ -17,10 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
 from .designs import GroupSubset, certify_rds
 from .groups import AbelianGroup, Character, IntVector, Subgroup, dft_numeric
-from .matrices import ComplexMatrix, from_cells
+from .matrices import ComplexMatrix, _from_exponents
 from .classify import is_amalgam
 
 
@@ -36,13 +35,9 @@ def harmonic_synthesis(D: GroupSubset) -> ComplexMatrix:
     if D.size == 0:
         raise ValueError("the subset must be nonempty")
     G = D.group
-    L = G.exponent
     rows = D.ordered
-    cells = [
-        [Cyclotomic.root(G.char_exponent(chi, d), L) for chi in G.characters]
-        for d in rows
-    ]
-    return from_cells(rows, G.characters, cells, Fraction(1, D.size))
+    exp = G._pair_exponents(G.characters, rows).T
+    return _from_exponents(rows, G.characters, Fraction(1, D.size), G.exponent, exp)
 
 
 def gram(M: ComplexMatrix) -> ComplexMatrix:
@@ -73,42 +68,30 @@ def check_tight(M: ComplexMatrix, tol: float = 1e-9) -> float | None:
 def simplex_psi(group: AbelianGroup, H: Subgroup) -> ComplexMatrix:
     """Synthesis of the regular S-simplex on the nonidentity cosets of H:
     Psi(g_bar, chi) = chi(g)/sqrt(S) for chi in the annihilator of H."""
-    L = group.exponent
     ann = H.annihilator()
     reps = [g for g, _ in H.cosets if not H.contains(g)]
     s = len(reps)
     if s == 0:
         raise ValueError("H must be a proper subgroup")
     # well-definedness: annihilator characters are constant on cosets
-    for g, members in H.cosets:
-        for chi in ann.elements:
-            base = group.char_exponent(chi, g)
-            if any(group.char_exponent(chi, m) != base for m in members):
-                raise AssertionError("annihilator character varies on a coset")
-    cells = [
-        [Cyclotomic.root(group.char_exponent(chi, g), L) for chi in ann.elements]
-        for g in reps
-    ]
-    return from_cells(reps, ann.elements, cells, Fraction(1, s))
+    members = [(g, m) for g, ms in H.cosets for m in ms]
+    on_rep = group._pair_exponents(ann.elements, [g for g, _ in members])
+    on_member = group._pair_exponents(ann.elements, [m for _, m in members])
+    if (on_rep != on_member).any():
+        raise AssertionError("annihilator character varies on a coset")
+    exp = group._pair_exponents(ann.elements, reps).T
+    return _from_exponents(reps, ann.elements, Fraction(1, s), group.exponent, exp)
 
 
 def phi_gamma(D: GroupSubset, H: Subgroup, gamma: Character) -> ComplexMatrix:
     """Columns of the harmonic frame indexed by the coset gamma*annihilator,
     re-indexed by the annihilator itself."""
     G = D.group
-    L = G.exponent
     ann = H.annihilator()
     rows = D.ordered
-    cells = [
-        [
-            Cyclotomic.root(
-                (G.char_exponent(gamma, d) + G.char_exponent(chi, d)) % L, L
-            )
-            for chi in ann.elements
-        ]
-        for d in rows
-    ]
-    return from_cells(rows, ann.elements, cells, Fraction(1, D.size))
+    exp = G._pair_exponents([gamma, *ann.elements], rows)
+    return _from_exponents(rows, ann.elements, Fraction(1, D.size), G.exponent,
+                           (exp[1:] + exp[0]).T)
 
 
 def _fineness_guard(D: GroupSubset, H: Subgroup) -> int:
@@ -135,20 +118,12 @@ def e_gamma(D: GroupSubset, H: Subgroup, gamma: Character) -> ComplexMatrix:
     coset g_bar; columns indexed by nonidentity cosets of H."""
     s = _fineness_guard(D, H)
     G = D.group
-    L = G.exponent
     reps = [g for g, _ in H.cosets if not H.contains(g)]
+    column = {g: k for k, g in enumerate(reps)}
     rows = D.ordered
-    zero = Cyclotomic.zero(L)
-    cells = []
-    for d in rows:
-        rep = H.coset_rep[d]
-        cells.append(
-            [
-                Cyclotomic.root(G.char_exponent(gamma, d), L) if rep == g else zero
-                for g in reps
-            ]
-        )
-    return from_cells(rows, reps, cells, Fraction(s, D.size))
+    cell = [i * len(reps) + column[H.coset_rep[d]] for i, d in enumerate(rows)]
+    exp = G._pair_exponents([gamma], rows)
+    return _from_exponents(rows, reps, Fraction(s, D.size), G.exponent, exp, cell)
 
 
 def cross_gram(E1: ComplexMatrix, E2: ComplexMatrix, check_diagonal: bool = False) -> ComplexMatrix:

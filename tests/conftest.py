@@ -3,18 +3,21 @@
 The oracles here use nothing from the package's computational paths: plain
 modular arithmetic on residue tuples, direct cmath sums and sympy's
 polynomial remainder.  Tests compare library certifications against these.
-The one exception is ``reference_exact_autocorrelation``, an earlier
-implementation kept to pin down its replacement.
+The exceptions are the ``reference_*`` helpers: earlier implementations,
+built on ``Cyclotomic`` arithmetic, kept to pin down their replacements.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import etfkit as ek
+from etfkit.cyclotomic import rational_sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +142,49 @@ def reference_exact_autocorrelation(C) -> bool:
         if not (acc - want).is_zero():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the cell-by-cell matrix algebra that the term layout of ``ExactForm``
+# replaced: cells are rows of ``Cyclotomic`` values, the matrix is
+# sqrt(scale_sq) times them
+
+
+def reference_values(cells, scale_sq) -> np.ndarray:
+    """complex(cell) * sqrt(scale_sq) for every cell."""
+    scale = math.sqrt(float(scale_sq))
+    return np.array([[complex(c) * scale for c in row] for row in cells], dtype=np.complex128)
+
+
+def reference_dot(row, col):
+    out = None
+    for a, b in zip(row, col):
+        term = a * b
+        out = term if out is None else out + term
+    return out
+
+
+def reference_product(a, b) -> tuple:
+    """Cells of the product, one ``reference_dot`` per cell; its squared
+    scale is the product of the two."""
+    return tuple(
+        tuple(reference_dot(row, [b_row[j] for b_row in b]) for j in range(len(b[0])))
+        for row in a
+    )
+
+
+def reference_exact_equals(a, a_scale_sq, b, b_scale_sq) -> bool:
+    if a_scale_sq == b_scale_sq:
+        ratio = Fraction(1)
+    else:
+        ratio = rational_sqrt(b_scale_sq / a_scale_sq)
+        if ratio is None:
+            raise ValueError("scales differ by an irrational factor")
+    return all(x == y * ratio for a_row, b_row in zip(a, b) for x, y in zip(a_row, b_row))
+
+
+def reference_is_exactly_diagonal(cells) -> bool:
+    return all(c.is_zero() for i, row in enumerate(cells) for j, c in enumerate(row) if i != j)
 
 
 # ---------------------------------------------------------------------------

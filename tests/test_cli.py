@@ -284,3 +284,13 @@ def test_malformed_set_file_exits_2(tmp_path, capsys, payload):
     assert run(["classify", path, "--out-dir", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_float_verdict_disagreeing_with_exact_exits_2(tmp_path, capsys):
+    # at tolerance 10 the float residuals pass a matrix that is not unimodular
+    assert run(["construct", "tpp", "--q", 17, "--out-dir", tmp_path]) == 0
+    capsys.readouterr()
+    argv = ["verify", tmp_path / "tpp_q17.json", "--check", "conference", "--tolerance", 10]
+    assert run(argv + ["--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -490,3 +491,29 @@ def test_projector_sum_is_tight(z15_D, z15_H, mcf22):
         s = D.group.order // H.order - 1
         c = s * H.order / D.size
         assert np.max(np.abs(total - c * np.eye(D.size))) < 1e-9
+
+
+def test_large_synthesis_keeps_its_exact_form():
+    # 162 x 323 = 52,326 cells
+    D = ek.tpp_complement(17).D
+    G, L = D.group, D.group.exponent
+    phi = ek.harmonic_synthesis(D)
+    assert phi.exact is not None
+    rng = random.Random(17)
+    for _ in range(25):
+        i, j = rng.randrange(phi.shape[0]), rng.randrange(phi.shape[1])
+        want = Cyclotomic.root(G.char_exponent(phi.col_labels[j], phi.row_labels[i]), L)
+        assert phi.exact.cells[i][j] == want
+
+
+def test_cross_gram_of_large_isometries_is_decided_exactly():
+    from etfkit.matrices import identity_matrix
+
+    # |D| = 162 rows, S = 18 columns: 162 term pairs, where the dense
+    # 18 x 162 x 18 product would be 52,488
+    fam = ek.tpp_complement(17)
+    gammas = [g for g, _ in fam.H.annihilator().cosets][:2]
+    e1, e2 = (ek.e_gamma(fam.D, fam.H, g) for g in gammas)
+    cg = ek.cross_gram(e1, e2, check_diagonal=True)
+    assert cg.exact is not None and cg.is_exactly_diagonal()
+    assert (e1.adjoint() @ e1).exact_equals(identity_matrix(e1.col_labels))

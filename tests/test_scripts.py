@@ -25,3 +25,15 @@ def test_script_runs_without_failures(argv):
     )
     assert done.returncode == 0, done.stderr
     assert "FAIL" not in done.stdout
+
+
+def test_demo_prints_the_same_under_python_O():
+    # -O strips assert statements; the exact checks and their output must not change
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    runs = [
+        subprocess.run([sys.executable, *flags, "scripts/demo_z15.py"], cwd=ROOT, env=env,
+                       capture_output=True, text=True, timeout=300)
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
