@@ -36,7 +36,7 @@ from . import conference as conference_mod
 from . import designs, frames
 from .classify import classify as classify_set, compute_Dg, is_fine
 from .cyclotomic import Cyclotomic, rational_sqrt
-from .groups import AbelianGroup, SearchCapExceeded, Subgroup, group_new
+from .groups import AbelianGroup, SearchCapExceeded, Subgroup, VerdictDisagreement, group_new
 from .matrices import ComplexMatrix
 
 SCHEMA_VERSION = 1
@@ -140,41 +140,30 @@ def _label(t) -> str:
     return ":".join(str(x) for x in t)
 
 
-def _exact_entries(matrix: ComplexMatrix) -> list:
-    """Per cell, row-major, {num, den, root_exp, root_mod} when the entry is a
-    rational multiple of a root of unity, else None."""
-    x = matrix.exact
-    r = None if x is None else rational_sqrt(x.scale_sq)
-    size = matrix.shape[0] * matrix.shape[1]
+def _entry_exact(matrix: ComplexMatrix, i: int, j: int) -> dict | None:
+    if matrix.exact is None:
+        return None
+    r = rational_sqrt(matrix.exact.scale_sq)
     if r is None:
-        return [None] * size
-    count = np.bincount(x.cell, minlength=size).tolist()
-    term = np.zeros(size, dtype=np.int64)
-    term[x.cell] = np.arange(len(x.cell))  # the term of each single-term cell
-    exps, nums, ncols = x.exp.tolist(), x.num.tolist(), matrix.shape[1]
-    out = []
-    for c, (k, t) in enumerate(zip(count, term.tolist())):
-        if k == 1 and r:
-            sr = (Fraction(nums[t] * r.numerator, x.den * r.denominator), exps[t], x.modulus)
-        else:
-            sr = (x.cells[c // ncols][c % ncols] * r).single_root()
-        out.append(None if sr is None else
-                   {"num": sr[0].numerator, "den": sr[0].denominator,
-                    "root_exp": sr[1], "root_mod": sr[2]})
-    return out
+        return None
+    total = matrix.exact.cells[i][j] * r
+    sr = total.single_root()
+    if sr is None:
+        return None
+    q, e, mod = sr
+    return {"num": q.numerator, "den": q.denominator, "root_exp": e, "root_mod": mod}
 
 
 def matrix_to_json(matrix: ComplexMatrix) -> dict:
-    exact = _exact_entries(matrix)
     entries = []
     for i in range(matrix.shape[0]):
         row = []
         for j in range(matrix.shape[1]):
             z = matrix.values[i, j]
             cell = {"re": float(z.real), "im": float(z.imag)}
-            e = exact[i * matrix.shape[1] + j]
-            if e is not None:
-                cell["exact"] = e
+            exact = _entry_exact(matrix, i, j)
+            if exact is not None:
+                cell["exact"] = exact
             row.append(cell)
         entries.append(row)
     return {
@@ -603,8 +592,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, SearchCapExceeded, AssertionError) as exc:
-        # AssertionError: a float cross-check disagreeing with the exact verdict
+    except (ValueError, OSError, KeyError, SearchCapExceeded, VerdictDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, _reduce, _terms
 from .designs import GroupSubset
-from .groups import Character, Subgroup
+from .groups import Character, Subgroup, VerdictDisagreement
 from .matrices import ComplexMatrix, ExactForm, _exact_terms, _matrix, _pairs
 
 
@@ -123,7 +123,7 @@ def _coset_sums(X: GroupSubset, H: Subgroup, gamma: Character) -> tuple[tuple, t
 def verify_conference(C: CirculantConference, tol: float = 1e-9) -> ConferenceReport:
     """Zero diagonal, unimodular off-diagonal and C*C = S I, decided exactly;
     the double-precision residuals (and the circulant structure) must agree,
-    else AssertionError."""
+    else VerdictDisagreement."""
     col = C.column_complex()
     n = C.size
     diff = C._difference_index()
@@ -150,7 +150,7 @@ def verify_conference(C: CirculantConference, tol: float = 1e-9) -> ConferenceRe
         and circ_res <= tol
     )
     if numeric != passed:
-        raise AssertionError("float conference verdict disagrees with the exact checks")
+        raise VerdictDisagreement("float conference verdict disagrees with the exact checks")
     return ConferenceReport(
         n, C.s, passed, float(zero_res), uni_res, prod_res, circ_res,
         exact_zero_diagonal=exact_zero,

@@ -25,6 +25,10 @@ class SearchCapExceeded(RuntimeError):
     """Raised when a subgroup search would not be exhaustive under the cap."""
 
 
+class VerdictDisagreement(AssertionError):
+    """Raised when a float cross-check disagrees with the exact verdict."""
+
+
 @dataclass(frozen=True)
 class AbelianGroup:
     cyclic_orders: tuple[int, ...]

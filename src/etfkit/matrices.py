@@ -142,9 +142,17 @@ class ComplexMatrix:
 
 
 def _vanishes(modulus: int, cell, exp, weight) -> bool:
-    """Whether every cell's sum of weight * w^exp is zero, in one reduction."""
-    rows, row = np.unique(cell, return_inverse=True)
-    _, rem = _reduce(modulus, len(rows), row, exp, weight)
+    """Whether every cell's sum of weight * w^exp is zero.  Like (cell,
+    exponent) terms are merged first; a cell left with one nonzero term is
+    not zero, and only the cells left with several go to one reduction."""
+    key, at = np.unique(cell * modulus + exp, return_inverse=True)
+    merged = np.zeros(len(key), dtype=object)
+    np.add.at(merged, at, weight)
+    key, merged = key[merged != 0], merged[merged != 0]
+    rows, row, count = np.unique(key // modulus, return_inverse=True, return_counts=True)
+    if (count == 1).any():
+        return False
+    _, rem = _reduce(modulus, len(rows), row, key % modulus, merged)
     return not rem.any()
 
 

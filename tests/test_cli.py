@@ -294,3 +294,14 @@ def test_float_verdict_disagreeing_with_exact_exits_2(tmp_path, capsys):
     assert run(argv + ["--out-dir", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_internal_assertion_is_not_reported_as_a_user_error(tmp_path, monkeypatch):
+    # only a float/exact disagreement exits 2; a broken invariant propagates
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant")
+
+    assert run(["construct", "tpp", "--q", 5, "--out-dir", tmp_path]) == 0
+    monkeypatch.setattr(cli.frames, "eitff_check", broken)
+    with pytest.raises(AssertionError, match="invariant"):
+        run(["verify", tmp_path / "tpp_q5.json", "--check", "eitff", "--out-dir", tmp_path])

@@ -506,6 +506,26 @@ def test_large_synthesis_keeps_its_exact_form():
         assert phi.exact.cells[i][j] == want
 
 
+def test_equal_large_syntheses_compare_without_dense_rows(monkeypatch):
+    import etfkit.matrices as mat
+
+    rows = []
+    reduce = mat._reduce
+    monkeypatch.setattr(mat, "_reduce", lambda m, n, *a: rows.append(n) or reduce(m, n, *a))
+    D = ek.tpp_complement(17).D
+    a, b = ek.harmonic_synthesis(D), ek.harmonic_synthesis(D)
+    # every (cell, exponent) term cancels its twin, and every off-diagonal
+    # cell is one root: neither check needs a row of 323 coefficients
+    assert a.exact_equals(b)
+    assert not a.is_exactly_diagonal()
+    assert sum(rows) == 0
+    # the frame operator's off-diagonal cells are vanishing sums: one row each
+    phi = ek.harmonic_synthesis(ek.tpp_complement(5).D)
+    frame_op = phi @ phi.adjoint()
+    assert frame_op.is_exactly_diagonal()
+    assert rows[-1] == frame_op.shape[0] * (frame_op.shape[0] - 1)
+
+
 def test_cross_gram_of_large_isometries_is_decided_exactly():
     from etfkit.matrices import identity_matrix
 
