@@ -18,12 +18,12 @@ from .cyclotomic import _reduce
 from .designs import (
     GroupSubset,
     _check_spectrum,
+    _difference_lambda,
     certify_difference_set,
-    difference_counts,
     non_ds_witness,
     welch_integer_S,
 )
-from .groups import Element, Subgroup, subgroups_of_order
+from .groups import Element, Subgroup, _subgroup_sets
 
 
 def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
@@ -49,12 +49,15 @@ def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> Subgroup | None:
     G = D.group
     if G.order % (s + 1):
         return None
-    dset = set(D.elements)
-    for H in subgroups_of_order(G, G.order // (s + 1), cap=cap):
-        if not (set(H.elements) & dset):
-            _assert_fine_consistency(D, H, s)
-            return H
-    return None
+    k = G.order // (s + 1)
+    # the walk never builds a subgroup that meets D; the first of order k is
+    # the lex-first disjoint one
+    els = next((els for els in _subgroup_sets(G, k, cap, D.elements) if len(els) == k), None)
+    if els is None:
+        return None
+    H = Subgroup(G, els)
+    _assert_fine_consistency(D, H, s)
+    return H
 
 
 def _assert_fine_consistency(D: GroupSubset, H: Subgroup, s: int) -> None:
@@ -81,21 +84,6 @@ def _assert_fine_consistency(D: GroupSubset, H: Subgroup, s: int) -> None:
             raise AssertionError(f"coset slice at {g} has size {size}, expected {want}")
 
 
-def _certify_slice_in_subgroup(Dg: GroupSubset, H: Subgroup) -> bool:
-    """Difference-set check for a subset of H, within H; empty slices count."""
-    n = len(Dg.elements)
-    if n == 0:
-        return True
-    h = H.order
-    if h == 1:
-        return n == 1
-    if (n * (n - 1)) % (h - 1):
-        return False
-    lam = n * (n - 1) // (h - 1)
-    counts = difference_counts(Dg)
-    return all(counts[g] == lam for g in H.elements if g != Dg.group.zero)
-
-
 def is_amalgam(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> bool:
     """Whether every coset slice D_g is a difference set for H.
 
@@ -110,7 +98,8 @@ def is_amalgam(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> bool:
     slices = []
     for g, _ in H.cosets:
         Dg = compute_Dg(D, H, g)
-        if not _certify_slice_in_subgroup(Dg, H):
+        # empty slices count as difference sets for H
+        if Dg.size and _difference_lambda(Dg, H.order) is None:
             return False
         slices.append(Dg)
     # |DFT(chi_B)|^2 == (D^2/S^3) * (1 + (S-1) chi_ann) for each nonempty slice
@@ -137,7 +126,7 @@ def is_composite(D: GroupSubset, H: Subgroup) -> tuple[GroupSubset, GroupSubset]
         return None
     g0 = nontrivial[0][0]
     B = compute_Dg(D, H, g0)
-    if B.size == 0 or not _certify_slice_in_subgroup(B, H):
+    if B.size == 0 or _difference_lambda(B, H.order) is None:
         return None
     b_set = set(B.elements)
     reps = []
@@ -253,8 +242,10 @@ def classify(D: GroupSubset, cap: int = 10000) -> DesignCertificate:
         failure_reason=None,
     )
     # hierarchy: composite => amalgam => fine, by construction of the gating
-    assert not (cert.is_composite and not cert.amalgam)
-    assert not (cert.amalgam and not cert.is_fine)
+    if cert.is_composite and not cert.amalgam:
+        raise AssertionError("composite certificate that is not amalgam")
+    if cert.amalgam and not cert.is_fine:
+        raise AssertionError("amalgam certificate that is not fine")
     return cert
 
 

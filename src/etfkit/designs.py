@@ -120,19 +120,24 @@ def convolve_indicators(A: GroupSubset, B: GroupSubset) -> IntVector:
 def certify_difference_set(D: GroupSubset) -> int | None:
     """Lambda if D is a difference set (every nonzero element is a difference
     exactly Lambda times), else None."""
-    if D.size == 0:
-        return None
-    G = D.group.order
-    if G == 1:
+    return None if D.size == 0 else _difference_lambda(D, D.group.order)
+
+
+def _difference_lambda(D: GroupSubset, n: int) -> int | None:
+    """Lambda if the nonempty set D, inside a subgroup of order n (n = G for
+    the whole group), has every nonzero element of that subgroup as a
+    difference exactly Lambda times, else None."""
+    if n == 1:
         return 0
     num = D.size * (D.size - 1)
-    if num % (G - 1):
+    if num % (n - 1):
         return None
-    lam = num // (G - 1)
-    counts = difference_counts(D)
-    expected = {g: lam for g in D.group.elements if g != D.group.zero}
-    expected[D.group.zero] = D.size
-    return lam if counts.values == {g: v for g, v in expected.items() if v} else None
+    lam = num // (n - 1)
+    # the differences stay in the subgroup and the counts off zero add up to
+    # Lambda (n - 1), so each occurring count is Lambda iff all n - 1 are
+    counts = difference_counts(D).values
+    zero = D.group.zero
+    return lam if all(v == lam for g, v in counts.items() if g != zero) else None
 
 
 def non_ds_witness(D: GroupSubset) -> tuple[tuple, int, tuple, int] | None:

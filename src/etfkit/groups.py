@@ -272,7 +272,7 @@ class Subgroup:
 
     @classmethod
     def generated_by(cls, group: AbelianGroup, generators) -> "Subgroup":
-        return cls(group, tuple(_closure(group, generators)))
+        return cls(group, _closure(group, generators))
 
     @property
     def order(self) -> int:
@@ -315,25 +315,29 @@ class Subgroup:
         G = self.group
         trivial = (G._pair_exponents(G.characters, self.elements) == 0).all(axis=1)
         out = Subgroup(G, tuple(chi for chi, t in zip(G.characters, trivial) if t))
-        assert out.order * self.order == G.order
+        if out.order * self.order != G.order:
+            raise AssertionError(f"annihilator of order {out.order} for a subgroup of {self.order}")
         return out
 
 
-def _closure(group: AbelianGroup, generators) -> list:
-    members = {group.zero}
+def _closure(group: AbelianGroup, generators) -> tuple:
+    members = (group.zero,)
     for g in generators:
         if not group.contains(g):
             raise ValueError(f"{g} is not an element of the group")
-        if g in members:
-            continue
-        # extend by all multiples of g added to the current subgroup
-        shifts = [group.zero]
-        y = g
-        while y not in members:
-            shifts.append(y)
-            y = group.add(y, g)
-        members = {group.add(x, s) for x in members for s in shifts}
-    return sorted(members)
+        members = _closure_with(group, set(members), g)
+    return members
+
+
+def _closure_with(group: AbelianGroup, base: set, g: Element) -> tuple:
+    """The subgroup generated by the subgroup ``base`` and g, sorted."""
+    # extend by all multiples of g added to the current subgroup
+    shifts = [group.zero]
+    y = g
+    while y not in base:
+        shifts.append(y)
+        y = group.add(y, g)
+    return tuple(sorted({group.add(x, s) for x in base for s in shifts}))
 
 
 def cosets(subgroup: Subgroup):
@@ -370,7 +374,8 @@ def quotient_group(subgroup: Subgroup) -> Quotient:
     orders = tuple(diag)
     quot_orders = tuple(diag[j] for j in keep) if keep else (1,)
     q = Quotient(AbelianGroup(quot_orders), tuple(tuple(r) for r in v), orders, keep)
-    assert q.group.order * subgroup.order == G.order
+    if q.group.order * subgroup.order != G.order:
+        raise AssertionError(f"quotient of order {q.group.order} by a subgroup of {subgroup.order}")
     return q
 
 
@@ -428,57 +433,61 @@ def _smith_diagonal(rows: list[list[int]], k: int) -> tuple[list[int], list[list
     return [abs(a[t][t]) for t in range(k)], v
 
 
-def subgroups_of_order(group: AbelianGroup, order: int, cap: int = 10000) -> list[Subgroup]:
-    """All subgroups of the given order, in a deterministic order.
+def _subgroup_sets(group: AbelianGroup, order: int, cap: int, avoid=()) -> list[tuple]:
+    """Sorted element tuples of every subgroup whose order divides ``order``
+    and that misses ``avoid``, sorted by (order, elements).
 
-    Cyclic groups shortcut to the unique subgroup per divisor; otherwise a
-    breadth-first closure enumeration is used, exhaustive for group orders
-    up to ``cap``.
+    Cyclic groups have one subgroup per divisor.  Otherwise subgroups grow
+    one element at a time from the trivial one, exhaustive for group orders
+    up to ``cap``; a subgroup that meets ``avoid`` is never extended, which
+    loses nothing because every subgroup missing ``avoid`` is reached through
+    a chain of its own subgroups, each missing ``avoid`` too.
     """
-    if order < 1 or group.order % order:
-        raise ValueError(f"{order} does not divide the group order {group.order}")
-    if order == 1:
-        return [Subgroup.trivial(group)]
+    blocked = frozenset(avoid)
     if group.is_cyclic:
         gen = next(g for g in group.elements if group.element_order(g) == group.order)
-        sub = Subgroup.generated_by(group, [group.scale(group.order // order, gen)])
-        assert sub.order == order
-        return [sub]
-    if group.order > cap:
+        subs = [_closure_with(group, {group.zero}, group.scale(group.order // d, gen))
+                for d in range(1, order + 1) if order % d == 0]
+        return [els for els in subs if blocked.isdisjoint(els)]
+    # the trivial subgroup alone needs no search
+    if order > 1 and group.order > cap:
         raise SearchCapExceeded(
             f"subgroup search not exhaustive: group order {group.order} exceeds cap {cap}"
         )
+    if group.zero in blocked:
+        return []
     # only elements whose order divides the target can lie in a solution
-    candidates = [g for g in group.elements if order % group.element_order(g) == 0]
-    found = set()
-    seen = {frozenset({group.zero})}
-    frontier = [tuple([group.zero])]
+    candidates = [g for g in group.elements
+                  if order % group.element_order(g) == 0 and g not in blocked]
+    start = (group.zero,)
+    seen = {start}
+    frontier = [start]
     while frontier:
         current = frontier.pop()
-        cur_set = set(current)
-        if len(current) == order:
-            found.add(tuple(sorted(current)))
-            continue
+        members = set(current)
+        tried = set(current)
         for g in candidates:
-            if g in cur_set:
+            if g in tried:
                 continue
-            closed = _closure_with(group, cur_set, g)
-            if order % len(closed):
+            # the closure with g depends only on the coset g + current
+            tried.update(group.add(g, h) for h in current)
+            closed = _closure_with(group, members, g)
+            if order % len(closed) or not blocked.isdisjoint(closed) or closed in seen:
                 continue
-            key = frozenset(closed)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(tuple(closed))
-    return [Subgroup(group, els) for els in sorted(found)]
+            seen.add(closed)
+            frontier.append(closed)
+    return sorted(seen, key=lambda els: (len(els), els))
 
 
-def _closure_with(group: AbelianGroup, base: set, g: Element) -> list:
-    shifts = [group.zero]
-    y = g
-    while y not in base:
-        shifts.append(y)
-        y = group.add(y, g)
-    return sorted({group.add(x, s) for x in base for s in shifts})
+def subgroups_of_order(group: AbelianGroup, order: int, cap: int = 10000) -> list[Subgroup]:
+    """All subgroups of the given order, in a deterministic order.
+
+    Cyclic groups shortcut to the unique subgroup per divisor; otherwise the
+    search is exhaustive for group orders up to ``cap``.
+    """
+    if order < 1 or group.order % order:
+        raise ValueError(f"{order} does not divide the group order {group.order}")
+    return [Subgroup(group, els) for els in _subgroup_sets(group, order, cap) if len(els) == order]
 
 
 def all_subgroups(group: AbelianGroup, cap: int = 10000) -> list[Subgroup]:
@@ -487,15 +496,4 @@ def all_subgroups(group: AbelianGroup, cap: int = 10000) -> list[Subgroup]:
         raise SearchCapExceeded(
             f"subgroup search not exhaustive: group order {group.order} exceeds cap {cap}"
         )
-    found = {frozenset({group.zero})}
-    frontier = [frozenset({group.zero})]
-    while frontier:
-        current = frontier.pop()
-        for g in group.elements:
-            if g in current:
-                continue
-            closed = frozenset(_closure_with(group, set(current), g))
-            if closed not in found:
-                found.add(closed)
-                frontier.append(closed)
-    return [Subgroup(group, tuple(sorted(els))) for els in sorted(found, key=lambda s: (len(s), sorted(s)))]
+    return [Subgroup(group, els) for els in _subgroup_sets(group, group.order, cap)]

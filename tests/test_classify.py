@@ -1,3 +1,9 @@
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
 import etfkit as ek
 
 
@@ -177,3 +183,12 @@ def test_certificate_serialization(z15_cert):
 def test_classify_tpp71_beyond_4096():
     cert = ek.classify(ek.tpp_complement(71).D)  # G = 5183
     assert cert.is_fine and cert.amalgam and not cert.is_composite
+
+
+@pytest.mark.parametrize("module", ["etfkit.groups", "etfkit.classify"])
+def test_invariants_are_not_bare_asserts(module):
+    # python -O strips assert statements; invariant checks raise AssertionError
+    path = importlib.util.find_spec(module).origin
+    tree = ast.parse(Path(path).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{module} has assert statements at lines {lines}"

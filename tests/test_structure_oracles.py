@@ -1,8 +1,10 @@
 """Brute-force cross-validation of the structural algorithms: subgroup
-enumeration against exhaustive subset closure, quotient projections against
-first principles, and known subgroup-lattice counts."""
+enumeration and the fine-subgroup search against exhaustive subset closure,
+quotient projections against first principles, and known subgroup-lattice
+counts."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -51,6 +53,7 @@ KNOWN_SUBGROUP_COUNTS = [
     ([3, 3], 6),     # 1 + 4 + 1
     ([2, 4], 8),
     ([2, 2, 2, 2], 67),  # sum of Gaussian binomials [4 k]_2
+    ([2, 2, 2, 2, 2], 374),  # 1 + 31 + 155 + 155 + 31 + 1
 ]
 
 
@@ -58,6 +61,61 @@ KNOWN_SUBGROUP_COUNTS = [
 def test_known_subgroup_lattice_sizes(orders, count):
     g = ek.group_new(orders)
     assert len(ek.all_subgroups(g)) == count
+
+
+def test_all_subgroups_cap_applies_to_cyclic_groups():
+    z12 = ek.group_new([12])
+    assert [H.order for H in ek.subgroups_of_order(z12, 4, cap=10)] == [4]
+    with pytest.raises(ek.SearchCapExceeded):
+        ek.all_subgroups(z12, cap=10)
+
+
+def oracle_fine_subgroup(orders, elements):
+    """Lex-first subgroup of order G/(S+1) disjoint from D, or None, by
+    checking closure of every subset of that size containing 0."""
+    order = math.prod(orders)
+    d = len(elements)
+    s_sq, rem = divmod(d * (order - 1), order - d)
+    s = math.isqrt(s_sq)
+    assert rem == 0 and s * s == s_sq and order % (s + 1) == 0
+    k = order // (s + 1)
+    zero = (0,) * len(orders)
+    dset = set(elements)
+    nonzero = [g for g in itertools.product(*(range(n) for n in orders)) if g != zero]
+    for rest in itertools.combinations(nonzero, k - 1):
+        combo = (zero,) + rest
+        members = set(combo)
+        closed = all(
+            tuple((x + y) % n for x, y, n in zip(a, b, orders)) in members
+            for a in combo
+            for b in combo
+        )
+        if closed and not members & dset:
+            return combo
+    return None
+
+
+def _fine_subgroup_agrees_with_oracle(orders, elements) -> bool:
+    H = ek.is_fine(ek.subset(ek.group_new(orders), elements))
+    return (H.elements if H is not None else None) == oracle_fine_subgroup(orders, elements)
+
+
+@pytest.mark.parametrize("k_orders", [[2, 2], [4]], ids=str)
+def test_is_fine_returns_lex_first_disjoint_subgroup(k_orders):
+    # translates by every element: those by H keep H, the others meet every
+    # subgroup of order k (some contain 0) or have another lex-first one
+    fam = ek.mcfarland(2, 2, k_orders)
+    orders = fam.group.cyclic_orders
+    for h in fam.group.elements:
+        els = [tuple((x + y) % n for x, y, n in zip(g, h, orders)) for g in fam.D.elements]
+        assert _fine_subgroup_agrees_with_oracle(orders, els), h
+
+
+@pytest.mark.parametrize("missing", [(0, 0), (1, 0)], ids=str)
+def test_is_fine_trivial_subgroup_unless_zero_in_D(missing):
+    # D = G minus one point has S = G - 1, so the fine subgroup is {0}
+    els = [g for g in ek.group_new([5, 5]).elements if g != missing]
+    assert _fine_subgroup_agrees_with_oracle((5, 5), els)
 
 
 @pytest.mark.parametrize(
