@@ -28,10 +28,23 @@ from .groups import Element, Subgroup, _subgroup_sets
 
 def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
     """The slice H & (D - g), as a subset of H."""
+    return _slices(D, H, [g])[g]
+
+
+def _slices(D: GroupSubset, H: Subgroup, shifts=None) -> dict:
+    """The slice H & (D - g) for every g in ``shifts`` (by default the coset
+    representatives of H), keyed by g, from one index-array pass: row g
+    holds the positions of g + h for every h in H."""
     G = D.group
-    dset = set(D.elements)
-    els = tuple(h for h in H.elements if G.add(h, g) in dset)
-    return GroupSubset(G, els)
+    if shifts is None:
+        shifts = [g for g, _ in H.cosets]
+    in_d = np.zeros(G.order, dtype=bool)
+    in_d[G.indices(D.elements)] = True
+    hits = in_d[G._sum_indices(shifts, H.elements)]
+    return {
+        g: GroupSubset(G, tuple(H.elements[i] for i in np.flatnonzero(row).tolist()))
+        for g, row in zip(shifts, hits)
+    }
 
 
 def is_fine(D: GroupSubset, cap: int = 10000) -> Subgroup | None:
@@ -41,11 +54,13 @@ def is_fine(D: GroupSubset, cap: int = 10000) -> Subgroup | None:
     if certify_difference_set(D) is None:
         return None
     s = welch_integer_S(D.size, D.group.order)
-    return None if s is None else _fine_subgroup(D, s, cap)
+    found = None if s is None else _fine_subgroup(D, s, cap)
+    return None if found is None else found[0]
 
 
-def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> Subgroup | None:
-    """``is_fine`` for a certified difference set with Welch reciprocal S."""
+def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> tuple[Subgroup, dict] | None:
+    """``is_fine`` for a certified difference set with Welch reciprocal S,
+    with the coset-slice table that its consistency check built."""
     G = D.group
     if G.order % (s + 1):
         return None
@@ -56,11 +71,12 @@ def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> Subgroup | None:
     if els is None:
         return None
     H = Subgroup(G, els)
-    _assert_fine_consistency(D, H, s)
-    return H
+    slices = _slices(D, H)
+    _assert_fine_consistency(D, H, s, slices)
+    return H, slices
 
 
-def _assert_fine_consistency(D: GroupSubset, H: Subgroup, s: int) -> None:
+def _assert_fine_consistency(D: GroupSubset, H: Subgroup, s: int, slices: dict) -> None:
     # (ii) the DFT of chi_D equals -D/S on the nontrivial annihilator, exactly:
     # row chi holds S * sum_d conj(chi(d)) + D, one batched zero test
     G = D.group
@@ -77,8 +93,8 @@ def _assert_fine_consistency(D: GroupSubset, H: Subgroup, s: int) -> None:
     if D.size % s:
         raise AssertionError("S must divide D for a fine difference set")
     per = D.size // s
-    for g, _ in H.cosets:
-        size = compute_Dg(D, H, g).size
+    for g, slc in slices.items():
+        size = slc.size
         want = 0 if H.contains(g) else per
         if size != want:
             raise AssertionError(f"coset slice at {g} has size {size}, expected {want}")
@@ -91,21 +107,21 @@ def is_amalgam(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> bool:
     against the closed-form Fourier magnitude pattern of small difference
     sets inside a fine set.
     """
-    G = D.group
-    s = G.order // H.order - 1
+    return _is_amalgam(D, H, _slices(D, H), tol)
+
+
+def _is_amalgam(D: GroupSubset, H: Subgroup, slices: dict, tol: float) -> bool:
+    """``is_amalgam`` on the coset-slice table of D and H."""
+    s = D.group.order // H.order - 1
     if (D.size**2) % (s**3):
         return False
-    slices = []
-    for g, _ in H.cosets:
-        Dg = compute_Dg(D, H, g)
-        # empty slices count as difference sets for H
-        if Dg.size and _difference_lambda(Dg, H.order) is None:
-            return False
-        slices.append(Dg)
+    # empty slices count as difference sets for H
+    if any(Dg.size and _difference_lambda(Dg, H.order) is None for Dg in slices.values()):
+        return False
     # |DFT(chi_B)|^2 == (D^2/S^3) * (1 + (S-1) chi_ann) for each nonempty slice
     ann = H.annihilator()
     base = D.size**2 / s**3
-    for Dg in slices:
+    for Dg in slices.values():
         if Dg.size:
             _check_spectrum(Dg, ann, base * s, base, tol, 1.0)
     return True
@@ -115,25 +131,25 @@ def is_composite(D: GroupSubset, H: Subgroup) -> tuple[GroupSubset, GroupSubset]
     """Witness (A, B) with chi_D = chi_A * chi_B, or None.
 
     B is the slice at the first nonidentity coset representative; each other
-    coset is searched for the unique translate-matching representative.
+    coset is searched for the least translate-matching representative.
     """
+    return _is_composite(D, H, _slices(D, H))
+
+
+def _is_composite(D: GroupSubset, H: Subgroup, slices: dict):
+    """``is_composite`` on the coset-slice table of D and H."""
     from .designs import convolve_indicators
 
     G = D.group
-    coset_list = H.cosets
-    nontrivial = [(g, members) for g, members in coset_list if not H.contains(g)]
+    nontrivial = [g for g in slices if not H.contains(g)]
     if not nontrivial:
         return None
-    g0 = nontrivial[0][0]
-    B = compute_Dg(D, H, g0)
+    B = slices[nontrivial[0]]
     if B.size == 0 or _difference_lambda(B, H.order) is None:
         return None
-    b_set = set(B.elements)
     reps = []
-    for _, members in nontrivial:
-        match = next(
-            (a for a in members if set(compute_Dg(D, H, a).elements) == b_set), None
-        )
+    for g in nontrivial:
+        match = _translate_rep(G, g, slices[g], B)
         if match is None:
             return None
         reps.append(match)
@@ -141,6 +157,23 @@ def is_composite(D: GroupSubset, H: Subgroup) -> tuple[GroupSubset, GroupSubset]
     if not convolve_indicators(A, B) == D.indicator():
         raise AssertionError("translate matching succeeded but convolution disagrees")
     return A, B
+
+
+def _translate_rep(G, g: Element, Dg: GroupSubset, B: GroupSubset) -> Element | None:
+    """The least a in the coset g + H whose slice D_a is B, or None.
+
+    D_{g+h} = D_g - h, so a = g + h matches exactly when D_g = B + h, and
+    every such h maps the first element of B into D_g.
+    """
+    if Dg.size != B.size:
+        return None
+    orders = np.array(G.cyclic_orders, dtype=np.int64)
+    shifts = (np.array(Dg.elements, dtype=np.int64) - np.array(B.elements[0])) % orders
+    translates = np.sort(G._sum_indices(shifts, B.elements), axis=1)
+    matched = (translates == G.indices(Dg.elements)).all(axis=1)
+    if not matched.any():
+        return None
+    return G.elements[int(G._sum_indices([g], shifts[matched]).min())]
 
 
 @dataclass(frozen=True)
@@ -225,18 +258,18 @@ def classify(D: GroupSubset, cap: int = 10000) -> DesignCertificate:
             D, True, lam, None, None, None, False, None, div,
             failure_reason=reason,
         )
-    H = _fine_subgroup(D, s, cap)
-    if H is None:
+    found = _fine_subgroup(D, s, cap)
+    if found is None:
         return DesignCertificate(
             D, True, lam, s, None, None, False, None, div,
             failure_reason=f"no disjoint subgroup of order {G.order // (s + 1)}"
             if G.order % (s + 1) == 0
             else "S+1 does not divide the group order",
         )
-    dg_table = {g: compute_Dg(D, H, g) for g, _ in H.cosets}
+    H, dg_table = found
     _appendix_counting_identity(lam, H, dg_table)
-    amalgam = is_amalgam(D, H)
-    witness = is_composite(D, H) if amalgam else None
+    amalgam = _is_amalgam(D, H, dg_table, 1e-9)
+    witness = _is_composite(D, H, dg_table) if amalgam else None
     cert = DesignCertificate(
         D, True, lam, s, H, dg_table, amalgam, witness, div,
         failure_reason=None,

@@ -15,7 +15,7 @@ from math import isqrt
 
 import numpy as np
 
-from .fields import FiniteField, ff_new, prime_power, squares_nonsquares
+from .fields import FiniteField, _power_images, ff_new, prime_power
 from .groups import (
     AbelianGroup,
     Element,
@@ -270,7 +270,9 @@ def singer_complement(q: int, j: int) -> SingerComplement:
     (q^(2j)-1)/(q-1), realized through discrete logs of GF(q^(2j)).
 
     The defining hyperplane condition is trace(x) != 0; for odd q everything
-    is shifted by alpha^((q^j+1)/2) so the set avoids the subgroup H.
+    is shifted by alpha^((q^j+1)/2) so the set avoids the subgroup H.  Each
+    unit is read as x = alpha^k, so its log is k and every trace is one
+    linear map of the rows of the field's power table.
     """
     pp = prime_power(q)
     if pp is None:
@@ -279,39 +281,42 @@ def singer_complement(q: int, j: int) -> SingerComplement:
         raise ValueError("j must be >= 2")
     p, e = pp
     F = ff_new(p, 2 * e * j)
-    alpha = F.generator
     n_quot = (q ** (2 * j) - 1) // (q - 1)
     G = group_new([n_quot])
-    shift = F.one if q % 2 == 0 else F.pow(alpha, (q**j + 1) // 2)
+    shift = 0 if q % 2 == 0 else (q**j + 1) // 2  # shift = alpha^shift
 
-    d_els, a_els = set(), set()
-    for x in F.units():
-        sx = F.mul(shift, x)
-        if F.trace(x, e) != F.zero:
-            d_els.add((F.dlog(sx) % n_quot,))
-        if F.trace(x, e * j) == F.one:
-            a_els.add((F.dlog(sx) % n_quot,))
-    D = GroupSubset(G, tuple(sorted(d_els)))
-    A = GroupSubset(G, tuple(sorted(a_els)))
+    logs = np.arange(F.q - 1) + shift
+    D = _log_subset(G, logs[_power_images(F, lambda x: F.trace(x, e)).any(axis=1)])
+    A = _log_subset(G, logs[_trace_is_one(F, e * j)])
 
     h_order = (q**j - 1) // (q - 1)
     H = Subgroup.generated_by(G, [((q**j + 1) % n_quot,)])
-    assert H.order == h_order
+    if H.order != h_order:
+        raise AssertionError(f"H has order {H.order}, expected {h_order}")
 
-    b_els = set()
-    step = q**j + 1  # F_{q^j}^x = <alpha^step>
-    for k in range(q**j - 1):
-        z = F.pow(alpha, k * step)
-        if F.partial_frobenius_sum(z, e, j) != F.zero:
-            b_els.add((F.dlog(z) % n_quot,))
-    B = GroupSubset(G, tuple(sorted(b_els)))
+    # F_{q^j}^x = <alpha^(q^j+1)>
+    sub_logs = np.arange(q**j - 1) * (q**j + 1)
+    in_b = _power_images(F, lambda x: F.partial_frobenius_sum(x, e, j), sub_logs).any(axis=1)
+    B = _log_subset(G, sub_logs[in_b])
 
-    assert D.size == q ** (2 * j - 1) and A.size == q**j
-    assert set(B.elements) <= set(H.elements)
-    assert convolve(A.indicator(), B.indicator()) == D.indicator(), (
-        "Singer factors must convolve to the difference set"
-    )
+    if not (D.size == q ** (2 * j - 1) and A.size == q**j):
+        raise AssertionError(f"Singer sets have sizes {D.size} and {A.size}")
+    if not set(B.elements) <= set(H.elements):
+        raise AssertionError("B must lie in the subgroup H")
+    if convolve(A.indicator(), B.indicator()) != D.indicator():
+        raise AssertionError("Singer factors must convolve to the difference set")
     return SingerComplement(G, D, H, A, B, q, j)
+
+
+def _trace_is_one(F: FiniteField, sub_degree: int) -> np.ndarray:
+    """Mask over k = 0..q-2: whether alpha^k has relative trace one."""
+    traces = _power_images(F, lambda x: F.trace(x, sub_degree))
+    return (traces == F.one).all(axis=1)
+
+
+def _log_subset(G: AbelianGroup, logs: np.ndarray) -> GroupSubset:
+    """The subset of the cyclic group G of the residues of the given logs."""
+    return GroupSubset(G, tuple((v,) for v in np.unique(logs % G.order).tolist()))
 
 
 @dataclass(frozen=True)
@@ -330,23 +335,21 @@ def simplicial_rds_quadratic(q: int) -> SimplicialRds:
         raise ValueError(f"{q} is not a prime power")
     p, e = pp
     F = ff_new(p, 2 * e)
-    alpha = F.generator
     G = group_new([q**2 - 1])
-    shift = F.one if q % 2 == 0 else F.pow(alpha, (q + 1) // 2)
-    a_els = {
-        (F.dlog(F.mul(shift, x)),)
-        for x in F.units()
-        if F.trace(x, e) == F.one
-    }
-    A = GroupSubset(G, tuple(sorted(a_els)))
+    shift = 0 if q % 2 == 0 else (q + 1) // 2  # shift = alpha^shift
+    A = _log_subset(G, np.flatnonzero(_trace_is_one(F, e)) + shift)
     K = Subgroup.generated_by(G, [((q + 1) % (q**2 - 1),)])
-    assert A.size == q and K.order == q - 1
-    assert not (set(A.elements) & set(K.elements)), "A must avoid the subgroup"
+    if not (A.size == q and K.order == q - 1):
+        raise AssertionError(f"A has size {A.size} and K order {K.order}")
+    if set(A.elements) & set(K.elements):
+        raise AssertionError("A must avoid the subgroup")
     params = certify_rds(A, K)
-    assert params is not None and params.as_tuple() == (q + 1, q - 1, q, 1)
+    if params is None or params.as_tuple() != (q + 1, q - 1, q, 1):
+        raise AssertionError(f"A is not an RDS({q + 1}, {q - 1}, {q}, 1): {params}")
     # the quotient by K must cover every nonidentity coset exactly once
     reps = {K.coset_rep[a] for a in A.elements}
-    assert len(reps) == q and K.coset_rep[G.zero] not in reps
+    if len(reps) != q or K.coset_rep[G.zero] in reps:
+        raise AssertionError("A must meet every nonidentity coset of K once")
     return SimplicialRds(G, A, K, q)
 
 
@@ -362,7 +365,10 @@ class TppComplement:
 
 def tpp_complement(q: int) -> TppComplement:
     """Twin-prime-power complement difference set in F_q x F_{q+2}:
-    ({0} x units) | (squares x nonsquares) | (nonsquares x squares)."""
+    ({0} x units) | (squares x nonsquares) | (nonsquares x squares).
+
+    The squares are the even and the nonsquares the odd powers of each
+    field's generator, read from its power table."""
     pp1, pp2 = prime_power(q), prime_power(q + 2)
     if pp1 is None or pp2 is None or q % 2 == 0:
         raise ValueError(f"{q} and {q + 2} must both be odd prime powers")
@@ -370,18 +376,22 @@ def tpp_complement(q: int) -> TppComplement:
     F1, F2 = ff_new(p1, e1), ff_new(p2, e2)
     G = group_new([p1] * e1 + [p2] * e2)
 
-    def emb(x, y):
-        return tuple(x) + tuple(y)
+    def pairs(xs, ys):
+        # every x followed by every y, as rows of group residues
+        return np.hstack([np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1))])
 
-    s1, n1 = squares_nonsquares(F1)
-    s2, n2 = squares_nonsquares(F2)
-    d_els = {emb(F1.zero, y) for y in F2.units()}
-    d_els |= {emb(x, y) for x in s1 for y in n2}
-    d_els |= {emb(x, y) for x in n1 for y in s2}
-    D = GroupSubset(G, tuple(sorted(d_els)))
-    H = Subgroup(G, tuple(sorted(emb(x, F2.zero) for x in F1.elements)))
-    assert D.size == (q + 1) ** 2 // 2 and H.order == q
-    assert not (set(D.elements) & set(H.elements))
+    u1, u2 = F1._powers.astype(np.int64), F2._powers.astype(np.int64)
+    d_rows = np.vstack([
+        pairs(np.zeros((1, e1), dtype=np.int64), u2),
+        pairs(u1[0::2], u2[1::2]),
+        pairs(u1[1::2], u2[0::2]),
+    ])
+    D = GroupSubset(G, tuple(map(tuple, d_rows.tolist())))
+    H = Subgroup(G, tuple(sorted(tuple(x) + F2.zero for x in F1.elements)))
+    if not (D.size == (q + 1) ** 2 // 2 and H.order == q):
+        raise AssertionError(f"D has size {D.size} and H order {H.order}")
+    if set(D.elements) & set(H.elements):
+        raise AssertionError("D must avoid the subgroup H")
     return TppComplement(G, D, H, q, F1, F2)
 
 
@@ -418,7 +428,8 @@ def mcfarland(q: int, j: int, k_orders=None) -> McFarlandSet:
         v for v in vectors if _first_nonzero_is_one(F, v)
     )
     k_nonzero = [k for k in K.elements if k != K.zero]
-    assert len(functionals) == len(k_nonzero) == m - 1
+    if not len(functionals) == len(k_nonzero) == m - 1:
+        raise AssertionError("McFarland needs one hyperplane per nonzero element of K")
 
     def flat(vec):
         out = ()
@@ -433,8 +444,10 @@ def mcfarland(q: int, j: int, k_orders=None) -> McFarlandSet:
                 d_els.add(tuple(k) + flat(v))
     D = GroupSubset(G, tuple(sorted(d_els)))
     H = Subgroup(G, tuple(sorted(tuple(K.zero) + flat(v) for v in vectors)))
-    assert D.size == q ** (j - 1) * (m - 1)
-    assert not (set(D.elements) & set(H.elements))
+    if D.size != q ** (j - 1) * (m - 1):
+        raise AssertionError(f"McFarland set has size {D.size}")
+    if set(D.elements) & set(H.elements):
+        raise AssertionError("D must avoid the subgroup H")
     return McFarlandSet(G, D, H, q, j, k_orders)
 
 

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
+import numpy as np
+
 FieldElement = tuple[int, ...]
+
+# rows of coordinate vectors per integer product, so a table-wide product
+# never holds more than this many int64 rows at once
+_CHUNK_ROWS = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -54,6 +60,15 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _digits(enc: int, p: int, n: int) -> tuple[int, ...]:
+    """The n base-p digits of enc, least significant first."""
+    out = []
+    for _ in range(n):
+        out.append(enc % p)
+        enc //= p
+    return tuple(out)
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -124,14 +139,7 @@ class FiniteField:
     @cached_property
     def elements(self) -> tuple[FieldElement, ...]:
         """All elements ordered by integer encoding sum(c_i p^i)."""
-        out = []
-        for enc in range(self.q):
-            coeffs, m = [], enc
-            for _ in range(self.n):
-                coeffs.append(m % self.p)
-                m //= self.p
-            out.append(tuple(coeffs))
-        return tuple(out)
+        return tuple(_digits(enc, self.p, self.n) for enc in range(self.q))
 
     # -- arithmetic -----------------------------------------------------
     def add(self, x: FieldElement, y: FieldElement) -> FieldElement:
@@ -176,7 +184,8 @@ class FiniteField:
         for _ in range(self.n // sub_degree):
             out = self.add(out, term)
             term = self.pow(term, step)
-        assert self.pow(out, step) == out, "trace must land in the subfield"
+        if self.pow(out, step) != out:
+            raise AssertionError("trace must land in the subfield")
         return out
 
     def partial_frobenius_sum(self, x: FieldElement, sub_degree: int, terms: int) -> FieldElement:
@@ -191,22 +200,44 @@ class FiniteField:
     # -- multiplicative structure -----------------------------------------
     @cached_property
     def generator(self) -> FieldElement:
+        """The unit of least encoding that generates the multiplicative group;
+        candidates are decoded one at a time, so large fields never build
+        ``elements``."""
         fac = prime_factors(self.q - 1)
-        for x in self.elements:
-            if x == self.zero:
-                continue
+        for enc in range(1, self.q):
+            x = _digits(enc, self.p, self.n)
             if all(self.pow(x, (self.q - 1) // f) != self.one for f in fac):
                 return x
         raise AssertionError("no generator found; field construction is broken")
 
     @cached_property
+    def _powers(self) -> np.ndarray:
+        """Coordinates of alpha^k for k = 0..q-2 (alpha = ``generator``), one
+        row each, in the smallest unsigned dtype that holds p - 1.
+
+        The table doubles from the row of 1: rows m..2m-1 are rows 0..m-1
+        times the matrix of multiplication by alpha^m, which squares each
+        round (companion-matrix doubling mod p).
+        """
+        rows = self.q - 1
+        out = np.zeros((rows, self.n), dtype=np.min_scalar_type(self.p - 1))
+        out[0, 0] = 1
+        by_alpha = _coordinate_matrix(self, lambda x: self.mul(self.generator, x))
+        step, filled = by_alpha, 1
+        while filled < rows:
+            take = min(filled, rows - filled)
+            out[filled:filled + take] = _apply(step, out[:take], self.p)
+            step = step @ step % self.p
+            filled += take
+        if tuple(_apply(by_alpha, out[-1:], self.p)[0].tolist()) != self.one:
+            raise AssertionError("alpha^(q-1) != 1; power table is broken")
+        return out
+
+    @cached_property
     def _dlog_table(self) -> dict[FieldElement, int]:
-        table = {}
-        x = self.one
-        for k in range(self.q - 1):
-            table[x] = k
-            x = self.mul(x, self.generator)
-        assert x == self.one
+        table = {x: k for k, x in enumerate(map(tuple, self._powers.tolist()))}
+        if len(table) != self.q - 1:
+            raise AssertionError("generator powers repeat; generator is not primitive")
         return table
 
     def dlog(self, x: FieldElement, base: FieldElement | None = None) -> int:
@@ -237,13 +268,9 @@ def ff_new(p: int, n: int, cap: int = 2**20) -> FiniteField:
     if n < 1:
         raise ValueError("degree must be >= 1")
     if p**n > cap:
-        raise ValueError(f"field order {p**n} exceeds cap {cap}")
+        raise ValueError(f"field order {p**n} exceeds the field-order cap {cap}")
     for enc in range(p**n):
-        coeffs, m = [], enc
-        for _ in range(n):
-            coeffs.append(m % p)
-            m //= p
-        candidate = tuple(coeffs) + (1,)
+        candidate = _digits(enc, p, n) + (1,)
         if _is_irreducible(candidate, p):
             return FiniteField(p, n, candidate)
     raise AssertionError("no irreducible polynomial found")
@@ -265,7 +292,34 @@ def squares_nonsquares(field: FiniteField) -> tuple[set, set]:
     """Nonzero squares and nonsquares of an odd-order field."""
     if field.q % 2 == 0:
         raise ValueError("squares/nonsquares split requires odd field order")
-    squares = {field.mul(x, x) for x in field.units()}
-    nonsquares = {x for x in field.units() if x not in squares}
-    assert len(squares) == len(nonsquares) == (field.q - 1) // 2
+    # the squares are the even powers of the generator
+    squares = set(map(tuple, field._powers[0::2].tolist()))
+    nonsquares = set(map(tuple, field._powers[1::2].tolist()))
+    if not len(squares) == len(nonsquares) == (field.q - 1) // 2:
+        raise AssertionError("squares and nonsquares must split the units in half")
     return squares, nonsquares
+
+
+def _coordinate_matrix(field: FiniteField, f) -> np.ndarray:
+    """Matrix over F_p of the F_p-linear map f of the field: column i holds
+    the coordinates of f(x^i)."""
+    basis = np.eye(field.n, dtype=np.int64).tolist()
+    return np.array([f(tuple(b)) for b in basis], dtype=np.int64).T
+
+
+def _apply(matrix: np.ndarray, coords: np.ndarray, p: int) -> np.ndarray:
+    """matrix @ c mod p for every coordinate row c, in chunks of rows,
+    returned in the dtype of ``coords``."""
+    out = np.empty_like(coords)
+    for start in range(0, len(coords), _CHUNK_ROWS):
+        block = coords[start:start + _CHUNK_ROWS].astype(np.int64)
+        out[start:start + _CHUNK_ROWS] = block @ matrix.T % p
+    return out
+
+
+def _power_images(field: FiniteField, f, exponents=None) -> np.ndarray:
+    """Coordinates of f(alpha^k) for every k in ``exponents`` (all of
+    0..q-2 by default), for an F_p-linear map f such as a relative trace:
+    one integer product with the power table instead of q - 1 calls of f."""
+    powers = field._powers if exponents is None else field._powers[exponents]
+    return _apply(_coordinate_matrix(field, f), powers, field.p)

@@ -21,6 +21,10 @@ Element = tuple[int, ...]
 Character = tuple[int, ...]
 
 
+# pairs per index-array block in the subgroup closure check
+_PAIR_CHUNK = 1 << 20
+
+
 class SearchCapExceeded(RuntimeError):
     """Raised when a subgroup search would not be exhaustive under the cap."""
 
@@ -66,6 +70,17 @@ class AbelianGroup:
         """Enumeration positions of a sequence of residue tuples."""
         residues = np.array(elements, dtype=np.int64).reshape(-1, len(self.cyclic_orders))
         return residues @ self.strides
+
+    def _sum_indices(self, a, b) -> np.ndarray:
+        """Enumeration positions of x + y for every x in a (rows) and y in b
+        (columns), by mixed-radix addition one cyclic factor at a time."""
+        rank = len(self.cyclic_orders)
+        ra = np.asarray(a, dtype=np.int64).reshape(-1, rank)
+        rb = np.asarray(b, dtype=np.int64).reshape(-1, rank)
+        out = np.zeros((len(ra), len(rb)), dtype=np.int64)
+        for k, (n, stride) in enumerate(zip(self.cyclic_orders, self.strides)):
+            out += (ra[:, k, None] + rb[None, :, k]) % n * stride
+        return out
 
     def index_of(self, g: Element) -> int:
         if not self.contains(g):
@@ -201,12 +216,7 @@ def convolve(x: IntVector, y: IntVector) -> IntVector:
     if x.group != y.group:
         raise ValueError("convolution requires both vectors on the same group")
     G = x.group
-    rank = len(G.cyclic_orders)
-    rx = np.array(list(x.values), dtype=np.int64).reshape(-1, rank)
-    ry = np.array(list(y.values), dtype=np.int64).reshape(-1, rank)
-    targets = np.zeros((len(rx), len(ry)), dtype=np.int64)
-    for k, (n, stride) in enumerate(zip(G.cyclic_orders, G.strides)):
-        targets += (rx[:, k, None] + ry[None, :, k]) % n * stride
+    targets = G._sum_indices(list(x.values), list(y.values))
     vx = np.array(list(x.values.values()), dtype=np.int64)
     vy = np.array(list(y.values.values()), dtype=np.int64)
     out = np.zeros(G.order, dtype=np.int64)
@@ -252,15 +262,30 @@ class Subgroup:
     def __post_init__(self) -> None:
         els = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", els)
-        if self.group.zero not in els:
+        G = self.group
+        if G.zero not in els:
             raise ValueError("a subgroup must contain the identity")
-        member = set(els)
-        for a in els:
-            if self.group.neg(a) not in member:
-                raise ValueError(f"subgroup is not closed under negation at {a}")
-            for b in els:
-                if self.group.add(a, b) not in member:
-                    raise ValueError(f"subgroup is not closed under addition at {a}+{b}")
+        bad = next((g for g in els if not G.contains(g)), None)
+        if bad is not None:
+            raise ValueError(f"{bad} is not an element of the group")
+        # closure on index arrays; rows are checked in the order of a loop
+        # over a (negation of a, then a + b for every b), so the first
+        # failure reported is that loop's first
+        member = np.zeros(G.order, dtype=bool)
+        member[G.indices(els)] = True
+        negated = member[G.indices([G.neg(a) for a in els])]
+        chunk = max(1, _PAIR_CHUNK // len(els))
+        for start in range(0, len(els), chunk):
+            rows = els[start:start + chunk]
+            summed = member[G._sum_indices(rows, els)]
+            failed = ~negated[start:start + chunk] | ~summed.all(axis=1)
+            if failed.any():
+                i = int(np.argmax(failed))
+                a = rows[i]
+                if not negated[start + i]:
+                    raise ValueError(f"subgroup is not closed under negation at {a}")
+                b = els[int(np.argmin(summed[i]))]
+                raise ValueError(f"subgroup is not closed under addition at {a}+{b}")
 
     @classmethod
     def trivial(cls, group: AbelianGroup) -> "Subgroup":

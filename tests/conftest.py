@@ -4,7 +4,8 @@ The oracles here use nothing from the package's computational paths: plain
 modular arithmetic on residue tuples, direct cmath sums and sympy's
 polynomial remainder.  Tests compare library certifications against these.
 The exceptions are the ``reference_*`` helpers: earlier implementations,
-built on ``Cyclotomic`` arithmetic, kept to pin down their replacements.
+built on ``Cyclotomic`` arithmetic or on scalar field arithmetic, kept to
+pin down their replacements.
 """
 
 from __future__ import annotations
@@ -185,6 +186,74 @@ def reference_exact_equals(a, a_scale_sq, b, b_scale_sq) -> bool:
 
 def reference_is_exactly_diagonal(cells) -> bool:
     return all(c.is_zero() for i, row in enumerate(cells) for j, c in enumerate(row) if i != j)
+
+
+# ---------------------------------------------------------------------------
+# the per-element family constructors that the field's power table replaced:
+# one scalar trace and discrete log per unit, logs from a walk of generator
+# powers by scalar multiplication
+
+
+def reference_dlog_table(F) -> dict:
+    """{alpha^k: k} from q - 2 scalar multiplications by the generator."""
+    table, x = {}, F.one
+    for k in range(F.q - 1):
+        table[x] = k
+        x = F.mul(x, F.generator)
+    assert x == F.one
+    return table
+
+
+def reference_singer_complement(q: int, j: int) -> tuple:
+    """(D, A, B) element tuples of ``singer_complement(q, j)``."""
+    p, e = ek.prime_power(q)
+    F = ek.ff_new(p, 2 * e * j)
+    dlog = reference_dlog_table(F)
+    alpha = F.generator
+    n_quot = (q ** (2 * j) - 1) // (q - 1)
+    shift = F.one if q % 2 == 0 else F.pow(alpha, (q**j + 1) // 2)
+    d_els, a_els = set(), set()
+    for x in F.units():
+        sx = F.mul(shift, x)
+        if F.trace(x, e) != F.zero:
+            d_els.add((dlog[sx] % n_quot,))
+        if F.trace(x, e * j) == F.one:
+            a_els.add((dlog[sx] % n_quot,))
+    b_els = set()
+    step = q**j + 1  # F_{q^j}^x = <alpha^step>
+    for k in range(q**j - 1):
+        z = F.pow(alpha, k * step)
+        if F.partial_frobenius_sum(z, e, j) != F.zero:
+            b_els.add((dlog[z] % n_quot,))
+    return tuple(sorted(d_els)), tuple(sorted(a_els)), tuple(sorted(b_els))
+
+
+def reference_simplicial_rds_quadratic(q: int) -> tuple:
+    """The element tuple of ``simplicial_rds_quadratic(q).A``."""
+    p, e = ek.prime_power(q)
+    F = ek.ff_new(p, 2 * e)
+    dlog = reference_dlog_table(F)
+    shift = F.one if q % 2 == 0 else F.pow(F.generator, (q + 1) // 2)
+    return tuple(sorted(
+        (dlog[F.mul(shift, x)],) for x in F.units() if F.trace(x, e) == F.one
+    ))
+
+
+def reference_tpp_complement(q: int) -> tuple:
+    """The element tuple of ``tpp_complement(q).D``, squares by squaring."""
+    (p1, e1), (p2, e2) = ek.prime_power(q), ek.prime_power(q + 2)
+    F1, F2 = ek.ff_new(p1, e1), ek.ff_new(p2, e2)
+
+    def split(F):
+        squares = {F.mul(x, x) for x in F.units()}
+        return squares, {x for x in F.units() if x not in squares}
+
+    s1, n1 = split(F1)
+    s2, n2 = split(F2)
+    d_els = {F1.zero + y for y in F2.units()}
+    d_els |= {x + y for x in s1 for y in n2}
+    d_els |= {x + y for x in n1 for y in s2}
+    return tuple(sorted(d_els))
 
 
 # ---------------------------------------------------------------------------

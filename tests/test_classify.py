@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -185,7 +186,9 @@ def test_classify_tpp71_beyond_4096():
     assert cert.is_fine and cert.amalgam and not cert.is_composite
 
 
-@pytest.mark.parametrize("module", ["etfkit.groups", "etfkit.classify"])
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(ek.__path__, "etfkit."))
+)
 def test_invariants_are_not_bare_asserts(module):
     # python -O strips assert statements; invariant checks raise AssertionError
     path = importlib.util.find_spec(module).origin

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,7 @@ def test_cap_env_var_limits_subgroup_search(tmp_path, monkeypatch):
         {"group": {"cyclic_orders": [5]}, "elements": [["a"]]},
         {"group": {"cyclic_orders": [5]}, "elements": [[1]], "display_order": 5},
         {"group": {"cyclic_orders": [5]}, "elements": [[1]], "subgroup": [0]},
+        {"group": {"cyclic_orders": [5]}, "elements": [[1]], "subgroup": [[0], [7]]},
         [1, 2],
     ],
 )
@@ -284,6 +286,19 @@ def test_malformed_set_file_exits_2(tmp_path, capsys, payload):
     assert run(["classify", path, "--out-dir", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["singer", "--q", 2, "--j", 12], ["srds", "--q", 1031]], ids=["singer", "srds"]
+)
+def test_construct_beyond_the_field_cap_exits_2_fast(tmp_path, capsys, argv):
+    # GF(2^24) and GF(1031^2) both exceed the 2^20 field-order cap
+    start = time.perf_counter()
+    assert run(["construct", *argv, "--out-dir", tmp_path]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"cap {2**20}" in err
 
 
 def test_float_verdict_disagreeing_with_exact_exits_2(tmp_path, capsys):

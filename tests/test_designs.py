@@ -4,7 +4,18 @@ import pytest
 
 import etfkit as ek
 
-from conftest import oracle_is_difference_set, oracle_is_rds
+from conftest import (
+    oracle_is_difference_set,
+    oracle_is_rds,
+    reference_simplicial_rds_quadratic,
+    reference_singer_complement,
+    reference_tpp_complement,
+)
+
+# the default ranges of scripts/run_sweeps.py, then larger rungs
+SINGER_CASES = [(2, 2), (3, 2), (4, 2), (2, 3), (2, 4), (2, 5), (3, 3), (5, 2), (7, 2)]
+SRDS_CASES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 27]
+TPP_CASES = [3, 5, 7, 11, 17, 23, 27, 29, 41, 47]
 
 
 def test_certify_difference_set_examples(z15_D):
@@ -209,6 +220,23 @@ def test_tpp_rejects_non_twins():
         ek.tpp_complement(13)
     with pytest.raises(ValueError):
         ek.tpp_complement(2)
+
+
+@pytest.mark.parametrize("q,j", SINGER_CASES)
+def test_singer_matches_per_element_reference(q, j):
+    sc = ek.singer_complement(q, j)
+    got = (sc.D.elements, sc.A.elements, sc.B.elements)
+    assert got == reference_singer_complement(q, j)
+
+
+@pytest.mark.parametrize("q", SRDS_CASES)
+def test_simplicial_rds_matches_per_element_reference(q):
+    assert ek.simplicial_rds_quadratic(q).A.elements == reference_simplicial_rds_quadratic(q)
+
+
+@pytest.mark.parametrize("q", TPP_CASES)
+def test_tpp_matches_per_element_reference(q):
+    assert ek.tpp_complement(q).D.elements == reference_tpp_complement(q)
 
 
 def test_mcfarland_q2_j2_binary_form(mcf22):

@@ -1,10 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import etfkit as ek
 from etfkit.fields import is_prime, prime_factors, prime_power
+
+from conftest import reference_dlog_table
 
 
 def test_prime_helpers():
@@ -86,6 +89,22 @@ def test_generator_has_full_order():
             seen.add(x)
             x = f.mul(x, g)
         assert len(seen) == f.q - 1
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (2, 8)])
+def test_dlog_matches_scalar_walk(p, n):
+    f = ek.ff_new(p, n)
+    reference = reference_dlog_table(f)
+    assert len(reference) == f.q - 1
+    assert all(f.dlog(x) == k for x, k in reference.items())
+
+
+def test_power_table_rows_are_generator_powers():
+    f = ek.ff_new(5, 3)
+    powers = f._powers
+    assert powers.shape == (f.q - 1, f.n) and powers.dtype == np.uint8
+    for k in (0, 1, 2, 61, f.q - 2):
+        assert tuple(powers[k].tolist()) == f.pow(f.generator, k)
 
 
 def test_squares_nonsquares_examples():
