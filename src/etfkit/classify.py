@@ -33,18 +33,21 @@ def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
 
 def _slices(D: GroupSubset, H: Subgroup, shifts=None) -> dict:
     """The slice H & (D - g) for every g in ``shifts`` (by default the coset
-    representatives of H), keyed by g, from one index-array pass: row g
-    holds the positions of g + h for every h in H."""
-    G = D.group
+    representatives of H), keyed by g, from one index-array pass."""
     if shifts is None:
         shifts = [g for g, _ in H.cosets]
+    return {
+        g: GroupSubset(D.group, tuple(H.elements[i] for i in np.flatnonzero(row).tolist()))
+        for g, row in zip(shifts, _slice_hits(D, H, shifts))
+    }
+
+
+def _slice_hits(D: GroupSubset, H: Subgroup, shifts) -> np.ndarray:
+    """Row g: whether g + h lies in D, for every h in H in its order."""
+    G = D.group
     in_d = np.zeros(G.order, dtype=bool)
     in_d[G.indices(D.elements)] = True
-    hits = in_d[G._sum_indices(shifts, H.elements)]
-    return {
-        g: GroupSubset(G, tuple(H.elements[i] for i in np.flatnonzero(row).tolist()))
-        for g, row in zip(shifts, hits)
-    }
+    return in_d[G._sum_indices(shifts, H.elements)]
 
 
 def is_fine(D: GroupSubset, cap: int = 10000) -> Subgroup | None:

@@ -36,7 +36,9 @@ from . import conference as conference_mod
 from . import designs, frames
 from .classify import classify as classify_set, compute_Dg, is_fine
 from .cyclotomic import Cyclotomic, rational_sqrt
-from .groups import AbelianGroup, SearchCapExceeded, Subgroup, VerdictDisagreement, group_new
+from .groups import (
+    AbelianGroup, SearchCapExceeded, Subgroup, VerdictDisagreement, dft_numeric, group_new,
+)
 from .matrices import ComplexMatrix
 
 SCHEMA_VERSION = 1
@@ -105,7 +107,10 @@ def write_set(path: Path, D: designs.GroupSubset, subgroup: Subgroup | None = No
 
 
 def read_set(path: Path) -> tuple[designs.GroupSubset, Subgroup | None]:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict) or data.get("group") is None or data.get("elements") is None:
         raise ValueError(f"{path}: not a set file (missing group/elements)")
     if not isinstance(data["group"], dict) or not _ints(data["group"].get("cyclic_orders")):
@@ -415,20 +420,19 @@ def cmd_verify(args) -> int:
     params: dict = {"set": args.set_file, "check": args.check, "tolerance": tol}
 
     if args.check == "etf":
-        matrix = frames.harmonic_synthesis(D)
-        coh = frames.coherence(matrix)
+        # a harmonic frame is tight with constant G/|D|, and an ETF exactly
+        # when D is a difference set: that decides, and the coherence (the
+        # largest |DFT(chi_D)| / |D| off 0) reaching the Welch bound cross-checks
+        if D.size == 0:
+            raise ValueError("the subset must be nonempty")
         bound = frames.welch_bound(D.size, D.group.order)
-        tight = frames.check_tight(matrix, tol=tol)
+        coh = float(np.abs(dft_numeric(D.indicator())[1:]).max()) / D.size
         lam = designs.certify_difference_set(D)
-        passed = lam is not None and abs(coh - bound) <= tol and tight is not None
-        report = _report(
-            "verify", params,
-            passed=passed,
-            coherence=coh,
-            welch_bound=bound,
-            tight_constant=tight,
-            lam=lam,
-        )
+        passed = lam is not None
+        if passed != (abs(coh - bound) <= tol):
+            raise VerdictDisagreement("coherence disagrees with the difference-set certification")
+        report = _report("verify", params, passed=passed, coherence=coh, welch_bound=bound,
+                         tight_constant=D.group.order / D.size, lam=lam)
     elif args.check in ("ectff", "eitff"):
         H = _need_subgroup(D, H, cap)
         check = frames.ectff_check if args.check == "ectff" else frames.eitff_check
@@ -437,19 +441,13 @@ def cmd_verify(args) -> int:
         report = _report("verify", params, passed=passed, result=result.as_dict())
     elif args.check == "triple":
         H = _need_subgroup(D, H, cap)
-        cert = classify_set(D, cap=cap)
-        if cert.composite_witness is not None:
-            A, B = cert.composite_witness
-            composite = True
-        else:
-            # expected to fail: use the first slice and canonical representatives
-            reps = [g for g, _ in H.cosets if not H.contains(g)]
-            A = designs.GroupSubset(D.group, tuple(reps))
-            B = compute_Dg(D, H, reps[0])
-            composite = False
-        result = frames.triple_product_check(
-            D, H, A, B, tol=tol, seed=args.seed
-        )
+        witness = classify_set(D, cap=cap).composite_witness
+        composite = witness is not None
+        if composite:
+            B = witness[1]
+        else:  # expected to fail: use the first slice
+            B = compute_Dg(D, H, next(g for g, _ in H.cosets if not H.contains(g)))
+        result = frames.triple_product_check(D, H, None, B, tol=tol)
         passed = result.passed
         report = _report(
             "verify", params,
@@ -536,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_format=False):
         p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
+        p.add_argument("--seed", type=int, default=None,
+                       help="accepted and unused: every check is exhaustive")
         if with_format:
             p.add_argument("--format", choices=("csv", "json"), default="json")
 

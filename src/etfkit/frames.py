@@ -5,22 +5,24 @@ canonical regular simplex on the nonidentity cosets, the per-coset blocks
 Phi_gamma, and the sparse isometries E_gamma with Phi_gamma = E_gamma Psi.
 Verification covers tightness, coherence against the Welch bound, principal
 angles / chordal / spectral distances of the coset subspaces, triple products
-of cross-Grams, and mutually unbiased simplices from simplicial RDSs.
+of cross-Grams, and mutually unbiased simplices from simplicial RDSs.  The
+fusion checks read one table, the Fourier transforms of the coset slices of
+D over H, and decide their verdicts by exact integer tests.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .designs import GroupSubset, certify_rds
+from .classify import _slice_hits, is_amalgam
+from .cyclotomic import _complex_roots
+from .designs import GroupSubset, _difference_lambda, certify_rds
 from .groups import AbelianGroup, Character, IntVector, Subgroup, VerdictDisagreement, dft_numeric
 from .matrices import ComplexMatrix, _from_exponents
-from .classify import is_amalgam
 
 
 def welch_bound(dim: int, count: int) -> float:
@@ -92,29 +94,27 @@ def phi_gamma(D: GroupSubset, H: Subgroup, gamma: Character) -> ComplexMatrix:
                            (exp[1:] + exp[0]).T)
 
 
-def _fineness_guard(D: GroupSubset, H: Subgroup) -> int:
+def _fineness_guard(D: GroupSubset, H: Subgroup) -> tuple[int, np.ndarray]:
+    """S and the slice table of the nonidentity cosets (``_slice_hits``),
+    once D is checked to be fine for H."""
     G = D.group
     if G.order % H.order:
         raise ValueError("H does not divide the group order")
     s = G.order // H.order - 1
     if s <= 0 or D.size % s:
         raise ValueError("subset is not fine for H: S does not divide |D|")
-    per = D.size // s
-    dset = set(D.elements)
-    if dset & set(H.elements):
+    hits = _slice_hits(D, H, [g for g, _ in H.cosets])  # [0] is H itself
+    if hits[0].any():
         raise ValueError("subset is not fine for H: it meets H")
-    counts: dict = {}
-    for d in D.elements:
-        counts[H.coset_rep[d]] = counts.get(H.coset_rep[d], 0) + 1
-    if any(c != per for c in counts.values()) or len(counts) != s:
+    if (hits[1:].sum(axis=1) != D.size // s).any():
         raise ValueError("subset is not fine for H: uneven coset slices")
-    return s
+    return s, hits[1:]
 
 
 def e_gamma(D: GroupSubset, H: Subgroup, gamma: Character) -> ComplexMatrix:
     """Sparse isometry with E(d, g_bar) = sqrt(S/D) gamma(d) iff d lies in the
     coset g_bar; columns indexed by nonidentity cosets of H."""
-    s = _fineness_guard(D, H)
+    s, _ = _fineness_guard(D, H)
     G = D.group
     reps = [g for g, _ in H.cosets if not H.contains(g)]
     column = {g: k for k, g in enumerate(reps)}
@@ -220,47 +220,94 @@ def coset_isometries(D: GroupSubset, H: Subgroup) -> dict[Character, ComplexMatr
     return {g: e_gamma(D, H, g) for g, _ in H.annihilator().cosets}
 
 
+@dataclass(frozen=True)
+class _SliceSpectrum:
+    """values[a, k] = F_a(eta_k), the sum of eta_k over the slice Y_a =
+    (D - r_a) & H of the a-th nonidentity coset r_a + H; eta_k is the
+    restriction to H of the k-th annihilator coset representative, eta_0 =
+    0.  Row d of E_gamma has one entry, in the column of d's coset, so
+    E_gamma* E_gamma' is diagonal with entry a = (S/|D|) (gamma' -
+    gamma)(r_a) F_a(eta), eta the restriction of gamma' - gamma."""
+
+    s: int
+    labels: tuple  # the annihilator coset representatives
+    slices: np.ndarray  # S x n, 0/1 over the positions of H.elements
+    h_add: np.ndarray  # position of h_i + h_j
+    eta_add: np.ndarray  # index of eta_i + eta_j
+    chars: np.ndarray  # eta_k(h_j)
+    values: np.ndarray
+
+
+def _slice_spectrum(D: GroupSubset, H: Subgroup) -> _SliceSpectrum:
+    s, hits = _fineness_guard(D, H)
+    G = D.group
+    cosets = H.annihilator().cosets
+    labels = tuple(g for g, _ in cosets)
+    coset_of, position = np.empty(G.order, dtype=np.int64), np.empty(G.order, dtype=np.int64)
+    for k, (_, members) in enumerate(cosets):
+        coset_of[G.indices(members)] = k
+    position[G.indices(H.elements)] = np.arange(H.order)
+    slices = hits.astype(np.int64)
+    chars = np.array(_complex_roots(G.exponent))[G._pair_exponents(labels, H.elements)]
+    return _SliceSpectrum(s, labels, slices, position[G._sum_indices(H.elements, H.elements)],
+                          coset_of[G._sum_indices(labels, labels)], chars, slices @ chars.T)
+
+
+def _off_lines(delta: np.ndarray, h_add: np.ndarray) -> np.ndarray:
+    """n^2 times the part of delta whose Fourier transform on H lies off the
+    lines eta1 = 0, eta2 = 0 and eta1 + eta2 = 0, which meet only at 0."""
+    n = len(delta)
+    diagonal = np.take_along_axis(delta, h_add, axis=1).sum(axis=0)  # at u: sum of delta(z, z + u)
+    minus = h_add[np.argmax(h_add == 0, axis=1)]  # position of h2 - h1
+    lines = delta.sum(axis=0) + delta.sum(axis=1)[:, None] + diagonal[minus]
+    return n * (n * delta - lines) + 2 * delta.sum()
+
+
 def ectff_check(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> FusionReport:
-    """Equi-chordal check: ||E_g* E_g'||_F^2 = 1 for all distinct coset pairs."""
-    es = coset_isometries(D, H)
-    reps = list(es)
-    s = D.group.order // H.order - 1
-    worst, pairs = 0.0, 0
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            cg = es[reps[i]].values.conj().T @ es[reps[j]].values
-            worst = max(worst, abs(np.sum(np.abs(cg) ** 2) - 1.0))
-            pairs += 1
-    return FusionReport("ectff", bool(worst <= tol), len(reps), s, pairs, float(worst))
+    """Equi-chordal check: ||E_g* E_g'||_F^2 = 1 for all distinct coset pairs.
+
+    The norm is (S/|D|)^2 sum_a |F_a(eta)|^2, the Fourier transform on H of
+    the within-slice difference counts c; so it is 1 at every eta != 0
+    exactly when c is a constant c1 off 0 and S^2 (|D| - c1) = |D|^2.  That
+    decides; the float norms cross-check, and disagreement raises.
+    """
+    t = _slice_spectrum(D, H)
+    n = len(t.labels)
+    c = np.take_along_axis(t.slices.T @ t.slices, t.h_add, axis=1).sum(axis=0)
+    passed = n == 1 or bool((c[1:] == c[1]).all() and t.s**2 * (D.size - c[1]) == D.size**2)
+    norms = (t.s / D.size) ** 2 * (np.abs(t.values[:, 1:]) ** 2).sum(axis=0)
+    worst = float(np.abs(norms - 1.0).max(initial=0.0))
+    if passed != (worst <= tol):
+        raise VerdictDisagreement("chordal ECTFF residual disagrees with the slice difference counts")
+    return FusionReport("ectff", passed, n, t.s, n * (n - 1) // 2, worst)
 
 
 def eitff_check(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> FusionReport:
     """Equi-isoclinic check: every cross-Gram singular value is 1/sqrt(S).
 
-    The spectral verdict must agree with the exact combinatorial amalgam
-    certification; disagreement raises.
+    The exact amalgam certification decides; the singular values (S/|D|)
+    |F_a(eta)| cross-check it, and disagreement raises.
     """
-    es = coset_isometries(D, H)
-    reps = list(es)
-    s = D.group.order // H.order - 1
-    target = 1.0 / math.sqrt(s)
-    worst, pairs = 0.0, 0
-    angle_log = []
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            report = principal_angles(es[reps[i]], es[reps[j]], tol=tol)
-            worst = max(worst, max(abs(x - target) for x in report.singular_values))
-            pairs += 1
-            if len(reps) <= 12:
-                angle_log.append((reps[i], reps[j], report.principal_angles))
-    passed = bool(worst <= tol)
-    combinatorial = is_amalgam(D, H)
-    if passed != combinatorial:
+    t = _slice_spectrum(D, H)
+    n = len(t.labels)
+    target = 1.0 / math.sqrt(t.s)
+    sigma = t.s / D.size * np.abs(t.values)
+    worst = float(np.abs(sigma[:, 1:] - target).max(initial=0.0))
+    passed = is_amalgam(D, H)
+    if passed != (worst <= tol):
         raise VerdictDisagreement(
             "spectral EITFF verdict disagrees with the amalgam certification"
         )
+    angle_log = []
+    if n <= 12:
+        neg = np.argmax(t.eta_add == 0, axis=1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                descending = np.sort(sigma[:, t.eta_add[j, neg[i]]])[::-1]
+                angle_log.append((t.labels[i], t.labels[j],
+                                  tuple(np.arccos(np.clip(descending, 0.0, 1.0)).tolist())))
     return FusionReport(
-        "eitff", passed, len(reps), s, pairs, float(worst),
+        "eitff", passed, n, t.s, n * (n - 1) // 2, worst,
         sigma_target=target,
         pair_angles=tuple(angle_log) if angle_log else None,
         agrees_with_amalgam=True,
@@ -295,59 +342,55 @@ def triple_product_check(
     seed: int | None = None,
     max_triples: int = 500,
 ) -> TripleProductReport:
-    """For triples of distinct coset isometries, E1*E2 E2*E3 E3*E1 must be
-    c I with c the product of the three zeta inner products; zeta_g(b) =
-    sqrt(S/D) g(b) on B.  Fails (reported, not raised) off composite inputs.
+    """For every triple of distinct coset isometries, E1*E2 E2*E3 E3*E1 must
+    be c I with c the product of the three zeta inner products; zeta_g(b) =
+    sqrt(S/D) g(b) on B, which must lie in one coset of H.  Their moduli
+    must be 1 for equal characters and 1/sqrt(S) else.  Fails (reported,
+    not raised) off composite inputs.  ``A``, ``seed`` and ``max_triples``
+    have no effect: every triple is checked.
+
+    Entry a of the product is (S/|D|)^3 F_a(eta1) F_a(eta2) F_a(-eta1 -
+    eta2), the 2-D Fourier transform of the triple correlation T(h1, h2) =
+    #{z in Y_a : z + h1, z + h2 in Y_a}, and c is the same for B.  So the
+    identity holds exactly when T_a - T_B has no Fourier mass off the lines
+    eta1 = 0, eta2 = 0, eta1 + eta2 = 0; the moduli hold exactly when
+    S |B| = |D| and B is a difference set for H with Lambda = |B| -
+    |D|^2/S^3.  These integer tests decide; the float residuals
+    cross-check, and disagreement raises.
     """
-    G = D.group
-    s = G.order // H.order - 1
-    es = coset_isometries(D, H)
-    reps = list(es)
-    if len(reps) < 3:
+    t = _slice_spectrum(D, H)
+    n = len(t.labels)
+    if n < 3:
         raise ValueError("triple products need at least three cosets")
+    cosets = {H.coset_rep[b] for b in B.elements}
+    if len(cosets) > 1:
+        raise ValueError("B must lie in one coset of H")
+    y_b = _slice_hits(B, H, [cosets.pop() if cosets else D.group.zero])[0].astype(np.int64)
+    f_b = t.chars @ y_b
+    third = np.argmax(t.eta_add == 0, axis=1)[t.eta_add]  # index of -eta1 - eta2
+    off = third != 0
+    off[0, :] = off[:, 0] = False
 
-    def zeta_ip(g1: Character, g2: Character) -> complex:
-        tot = sum(
-            complex(G.char_value(g1, b).conjugate() * G.char_value(g2, b))
-            for b in B.elements
-        )
-        return s / D.size * tot
+    def correlation(y):  # T(h1, h2)
+        shifted = y[t.h_add[y.astype(bool)]]  # row z in Y: whether z + h is in Y
+        return shifted.T @ shifted
 
-    all_triples = [
-        (a, b, c)
-        for a in reps
-        for b in reps
-        for c in reps
-        if len({a, b, c}) == 3
-    ]
-    exhaustive = len(all_triples) <= max_triples
-    if not exhaustive:
-        rng = random.Random(seed)
-        all_triples = rng.sample(all_triples, max_triples)
+    def products(f):
+        return f[:, None] * f[None, :] * f[third]
 
-    worst = 0.0
-    for g1, g2, g3 in all_triples:
-        m = (
-            (es[g1].values.conj().T @ es[g2].values)
-            @ (es[g2].values.conj().T @ es[g3].values)
-            @ (es[g3].values.conj().T @ es[g1].values)
-        )
-        c = zeta_ip(g1, g2) * zeta_ip(g2, g3) * zeta_ip(g3, g1)
-        worst = max(worst, float(np.max(np.abs(m - c * np.eye(s)))))
-
-    mod_worst = 0.0
-    for g1 in reps:
-        for g2 in reps:
-            want = 1.0 if g1 == g2 else 1.0 / math.sqrt(s)
-            mod_worst = max(mod_worst, abs(abs(zeta_ip(g1, g2)) - want))
-
-    return TripleProductReport(
-        bool(worst <= tol and mod_worst <= tol),
-        len(all_triples),
-        float(worst),
-        float(mod_worst),
-        exhaustive,
-    )
+    worst, triples_hold, p_b, t_b = 0.0, True, products(f_b), correlation(y_b)
+    for y, f in zip(t.slices, t.values):
+        worst = max(worst, float(np.abs(products(f) - p_b)[off].max()))
+        triples_hold = triples_hold and not _off_lines(correlation(y) - t_b, t.h_add).any()
+    worst *= (t.s / D.size) ** 3
+    lam = _difference_lambda(B, H.order)
+    moduli_hold = t.s * B.size == D.size and lam is not None and t.s**3 * (B.size - lam) == D.size**2
+    want = np.where(np.arange(n) == 0, 1.0, 1.0 / math.sqrt(t.s))
+    mod_worst = float(np.abs(t.s / D.size * np.abs(f_b) - want).max())
+    passed = triples_hold and moduli_hold
+    if passed != (worst <= tol and mod_worst <= tol):
+        raise VerdictDisagreement("triple-product residuals disagree with the triple correlations")
+    return TripleProductReport(passed, n * (n - 1) * (n - 2), worst, mod_worst, True)
 
 
 @dataclass(frozen=True)

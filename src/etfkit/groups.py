@@ -337,8 +337,15 @@ class Subgroup:
 
     @cached_property
     def _annihilator(self) -> "Subgroup":
-        G = self.group
-        trivial = (G._pair_exponents(G.characters, self.elements) == 0).all(axis=1)
+        # a character trivial on a generating set is trivial on the subgroup;
+        # each generator is outside the span of the ones before, so at most
+        # log2 |H| of them
+        G, gens, span = self.group, [], {self.group.zero}
+        for h in self.elements:
+            if h not in span:
+                gens.append(h)
+                span = set(_closure_with(G, span, h))
+        trivial = (G._pair_exponents(G.characters, gens) == 0).all(axis=1)
         out = Subgroup(G, tuple(chi for chi, t in zip(G.characters, trivial) if t))
         if out.order * self.order != G.order:
             raise AssertionError(f"annihilator of order {out.order} for a subgroup of {self.order}")

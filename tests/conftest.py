@@ -4,14 +4,15 @@ The oracles here use nothing from the package's computational paths: plain
 modular arithmetic on residue tuples, direct cmath sums and sympy's
 polynomial remainder.  Tests compare library certifications against these.
 The exceptions are the ``reference_*`` helpers: earlier implementations,
-built on ``Cyclotomic`` arithmetic or on scalar field arithmetic, kept to
-pin down their replacements.
+built on ``Cyclotomic`` arithmetic, on scalar field arithmetic or on dense
+matrices, kept to pin down their replacements.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,8 @@ import pytest
 
 import etfkit as ek
 from etfkit.cyclotomic import rational_sqrt
+from etfkit.frames import FusionReport, TripleProductReport
+from etfkit.groups import VerdictDisagreement
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +257,105 @@ def reference_tpp_complement(q: int) -> tuple:
     d_els |= {x + y for x in s1 for y in n2}
     d_els |= {x + y for x in n1 for y in s2}
     return tuple(sorted(d_els))
+
+
+# ---------------------------------------------------------------------------
+# the dense fusion-frame checks that the slice-spectrum table replaced: one
+# cross-Gram (and for EITFF one SVD) per pair of coset isometries, sampled
+# triple products, and the etf verdict from the dense synthesis operator
+
+
+def reference_ectff(D, H, tol=1e-9):
+    es = ek.frames.coset_isometries(D, H)
+    reps = list(es)
+    s = D.group.order // H.order - 1
+    worst, pairs = 0.0, 0
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            cg = es[reps[i]].values.conj().T @ es[reps[j]].values
+            worst = max(worst, abs(np.sum(np.abs(cg) ** 2) - 1.0))
+            pairs += 1
+    return FusionReport("ectff", bool(worst <= tol), len(reps), s, pairs, float(worst))
+
+
+def reference_eitff(D, H, tol=1e-9):
+    es = ek.frames.coset_isometries(D, H)
+    reps = list(es)
+    s = D.group.order // H.order - 1
+    target = 1.0 / math.sqrt(s)
+    worst, pairs = 0.0, 0
+    angle_log = []
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            report = ek.principal_angles(es[reps[i]], es[reps[j]], tol=tol)
+            worst = max(worst, max(abs(x - target) for x in report.singular_values))
+            pairs += 1
+            if len(reps) <= 12:
+                angle_log.append((reps[i], reps[j], report.principal_angles))
+    passed = bool(worst <= tol)
+    if passed != ek.is_amalgam(D, H):
+        raise VerdictDisagreement("spectral EITFF verdict disagrees with the amalgam certification")
+    return FusionReport(
+        "eitff", passed, len(reps), s, pairs, float(worst),
+        sigma_target=target,
+        pair_angles=tuple(angle_log) if angle_log else None,
+        agrees_with_amalgam=True,
+    )
+
+
+def reference_triple_product(D, H, B, tol=1e-9, seed=None, max_triples=500):
+    G = D.group
+    s = G.order // H.order - 1
+    es = ek.frames.coset_isometries(D, H)
+    reps = list(es)
+    if len(reps) < 3:
+        raise ValueError("triple products need at least three cosets")
+
+    def zeta_ip(g1, g2) -> complex:
+        tot = sum(
+            complex(G.char_value(g1, b).conjugate() * G.char_value(g2, b))
+            for b in B.elements
+        )
+        return s / D.size * tot
+
+    all_triples = [(a, b, c) for a in reps for b in reps for c in reps if len({a, b, c}) == 3]
+    exhaustive = len(all_triples) <= max_triples
+    if not exhaustive:
+        all_triples = random.Random(seed).sample(all_triples, max_triples)
+    worst = 0.0
+    for g1, g2, g3 in all_triples:
+        m = (
+            (es[g1].values.conj().T @ es[g2].values)
+            @ (es[g2].values.conj().T @ es[g3].values)
+            @ (es[g3].values.conj().T @ es[g1].values)
+        )
+        c = zeta_ip(g1, g2) * zeta_ip(g2, g3) * zeta_ip(g3, g1)
+        worst = max(worst, float(np.max(np.abs(m - c * np.eye(s)))))
+    mod_worst = 0.0
+    for g1 in reps:
+        for g2 in reps:
+            want = 1.0 if g1 == g2 else 1.0 / math.sqrt(s)
+            mod_worst = max(mod_worst, abs(abs(zeta_ip(g1, g2)) - want))
+    return TripleProductReport(
+        bool(worst <= tol and mod_worst <= tol), len(all_triples), float(worst),
+        float(mod_worst), exhaustive,
+    )
+
+
+def reference_etf(D, tol=1e-9) -> dict:
+    """The fields of ``verify --check etf`` from the dense synthesis operator."""
+    matrix = ek.harmonic_synthesis(D)
+    coh = ek.coherence(matrix)
+    bound = ek.welch_bound(D.size, D.group.order)
+    tight = ek.check_tight(matrix, tol=tol)
+    lam = ek.certify_difference_set(D)
+    return {
+        "passed": lam is not None and abs(coh - bound) <= tol and tight is not None,
+        "coherence": coh,
+        "welch_bound": bound,
+        "tight_constant": tight,
+        "lam": lam,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import etfkit as ek
 from etfkit import cli
@@ -320,3 +325,124 @@ def test_internal_assertion_is_not_reported_as_a_user_error(tmp_path, monkeypatc
     monkeypatch.setattr(cli.frames, "eitff_check", broken)
     with pytest.raises(AssertionError, match="invariant"):
         run(["verify", tmp_path / "tpp_q5.json", "--check", "eitff", "--out-dir", tmp_path])
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed input exits 2 with one error line, never a traceback
+
+Z15_SET = {
+    "schema_version": 1,
+    "group": {"cyclic_orders": [15]},
+    "elements": [[6], [11], [7], [12], [13], [3], [9], [14]],
+    "subgroup": [[0], [5], [10]],
+}
+Z15_SUBGROUPS = [{0}, {0, 5, 10}, {0, 3, 6, 9, 12}, set(range(15))]
+NOT_INTS = st.one_of(st.none(), st.floats(allow_nan=False), st.text(max_size=3),
+                     st.lists(st.integers(0, 3), max_size=2))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(allow_nan=False),
+              st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _not_a_json_object(text) -> bool:
+    try:
+        return not isinstance(json.loads(text), dict)
+    except ValueError:
+        return True
+
+
+@st.composite
+def malformed_set_files(draw):
+    """Text of a set file that is malformed by construction: Z15_SET with
+    one defect, or not a JSON object at all."""
+    payload = copy.deepcopy(Z15_SET)
+    kind = draw(st.sampled_from(["text", "deep", "missing", "type", "entry", "range", "orders",
+                                 "subgroup", "display"]))
+    if kind == "text":
+        return draw(st.one_of(st.text(max_size=40), st.binary(max_size=40)).filter(_not_a_json_object))
+    if kind == "deep":
+        return "[" * draw(st.integers(1, 10**5))
+    if kind == "missing":
+        del payload[draw(st.sampled_from(["group", "elements"]))]
+    elif kind == "type":
+        key = draw(st.sampled_from(["group", "elements", "subgroup", "display_order"]))
+        payload[key] = draw(JSON_VALUES.filter(
+            lambda v: v is not None and not isinstance(v, dict if key == "group" else list)))
+    elif kind == "entry":
+        row = draw(st.sampled_from(payload["elements"]))
+        row[0] = draw(NOT_INTS)
+    elif kind == "range":
+        i = draw(st.integers(0, len(payload["elements"]) - 1))
+        payload["elements"][i] = draw(st.sampled_from([[-1], [15], [99], [], [1, 1]]))
+    elif kind == "orders":
+        payload["group"]["cyclic_orders"] = draw(st.sampled_from([[], [0], [-15], [15, 0]]))
+    elif kind == "subgroup":
+        members = draw(st.sets(st.integers(0, 14), min_size=1).filter(
+            lambda m: m not in Z15_SUBGROUPS))
+        payload["subgroup"] = [[h] for h in sorted(members)]
+    else:
+        order = draw(st.permutations(payload["elements"]))
+        payload["display_order"] = order[:-1] + draw(st.sampled_from([[], [[0]], order[:1]]))
+    return json.dumps(payload)
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    """Exit code and stderr of the CLI; an uncaught exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _assert_usage_error(argv):
+    code, err = _run_quietly(argv)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_set_files())
+def test_fuzzed_malformed_set_files_exit_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        _assert_usage_error(["classify", str(path), "--out-dir", tmp])
+
+
+def _inline_set_is_valid(group: str, elements: str) -> bool:
+    try:
+        orders = [int(x) for x in group.split(",")]
+        els = [[int(x) for x in e.split(",")] for e in elements.split(";")]
+    except ValueError:
+        return False
+    return min(orders) >= 1 and all(
+        len(e) == len(orders) and all(0 <= r < n for r, n in zip(e, orders)) for e in els
+    )
+
+
+# at most four characters: every group that parses has order below 10^4
+INLINE_GROUPS = st.one_of(st.text("0123456789,;- x", max_size=4),
+                          st.lists(st.integers(-2, 9), min_size=1, max_size=2).map(
+                              lambda ns: ",".join(map(str, ns))))
+INLINE_ELEMENTS = st.one_of(st.text("0123456789,;- x", max_size=12),
+                            st.lists(st.lists(st.integers(-2, 12), min_size=1, max_size=3),
+                                     min_size=1, max_size=4).map(
+                                lambda es: ";".join(",".join(map(str, e)) for e in es)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(INLINE_GROUPS, INLINE_ELEMENTS)
+def test_fuzzed_inline_sets_exit_2_unless_valid(group, elements):
+    with tempfile.TemporaryDirectory() as tmp:
+        # the "=" form keeps a value that starts with "-" a value, not an option
+        argv = ["classify", f"--group={group}", f"--elements={elements}", "--out-dir", tmp]
+        if _inline_set_is_valid(group, elements):
+            assert _run_quietly(argv)[0] == 0
+        else:
+            _assert_usage_error(argv)

@@ -235,6 +235,23 @@ def test_annihilator_matches_complex_oracle_on_every_subgroup(orders):
         assert H.annihilator() is ann  # computed once per subgroup
 
 
+def test_annihilator_pairs_characters_with_a_generating_set_only(monkeypatch):
+    columns = []
+    pair_exponents = ek.AbelianGroup._pair_exponents
+
+    def recording(self, characters, elements):
+        columns.append(len(elements))
+        return pair_exponents(self, characters, elements)
+
+    monkeypatch.setattr(ek.AbelianGroup, "_pair_exponents", recording)
+    g = ek.group_new([4, 8, 2])
+    for H in ek.all_subgroups(g):
+        columns.clear()
+        H.annihilator()
+        # one product, with at most log2 |H| generators, never every element
+        assert len(columns) == 1 and 2 ** columns[0] <= H.order
+
+
 def test_coset_character_sum_vanishes():
     # sum of gamma over coset representatives is zero for nontrivial gamma in
     # the annihilator
