@@ -23,7 +23,7 @@ from .designs import (
     non_ds_witness,
     welch_integer_S,
 )
-from .groups import Element, Subgroup, _subgroup_sets
+from .groups import Element, Subgroup, _subgroup_sets, _sum_counts, convolve
 
 
 def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
@@ -46,8 +46,11 @@ def _slice_hits(D: GroupSubset, H: Subgroup, shifts) -> np.ndarray:
     """Row g: whether g + h lies in D, for every h in H in its order."""
     G = D.group
     in_d = np.zeros(G.order, dtype=bool)
-    in_d[G.indices(D.elements)] = True
-    return in_d[G._sum_indices(shifts, H.elements)]
+    in_d[G.indices(D._rows)] = True
+    out = np.empty((len(shifts), H.order), dtype=bool)
+    for r, c, positions in G._pair_blocks(G._residues(shifts), G._residues(H.elements)):
+        out[r, c] = in_d[positions]
+    return out
 
 
 def is_fine(D: GroupSubset, cap: int = 10000) -> Subgroup | None:
@@ -104,7 +107,8 @@ def _assert_fine_consistency(D: GroupSubset, H: Subgroup, s: int, slices: dict) 
 
 
 def is_amalgam(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> bool:
-    """Whether every coset slice D_g is a difference set for H.
+    """Whether every nonempty coset slice D_g is a difference set for H with
+    |D_g| = D/S and S^3 (|D_g| - Lambda_g) = D^2.
 
     Fast-path: S^3 must divide D^2.  Certified slices are cross-checked
     against the closed-form Fourier magnitude pattern of small difference
@@ -119,8 +123,9 @@ def _is_amalgam(D: GroupSubset, H: Subgroup, slices: dict, tol: float) -> bool:
     if (D.size**2) % (s**3):
         return False
     # empty slices count as difference sets for H
-    if any(Dg.size and _difference_lambda(Dg, H.order) is None for Dg in slices.values()):
+    if not all(_amalgam_slice(Dg, H.order, D.size, s) for Dg in slices.values() if Dg.size):
         return False
+    # by Fourier inversion on H, the slice conditions are exactly
     # |DFT(chi_B)|^2 == (D^2/S^3) * (1 + (S-1) chi_ann) for each nonempty slice
     ann = H.annihilator()
     base = D.size**2 / s**3
@@ -128,6 +133,14 @@ def _is_amalgam(D: GroupSubset, H: Subgroup, slices: dict, tol: float) -> bool:
         if Dg.size:
             _check_spectrum(Dg, ann, base * s, base, tol, 1.0)
     return True
+
+
+def _amalgam_slice(Y: GroupSubset, n: int, d: int, s: int) -> bool:
+    """Whether Y, inside a subgroup of order n, is a difference set with
+    |Y| = d/S and S^3 (|Y| - Lambda_Y) = d^2, as every slice of an amalgam
+    of d points with Welch reciprocal S is."""
+    lam = _difference_lambda(Y, n) if s * Y.size == d else None
+    return lam is not None and s**3 * (Y.size - lam) == d * d
 
 
 def is_composite(D: GroupSubset, H: Subgroup) -> tuple[GroupSubset, GroupSubset] | None:
@@ -140,9 +153,12 @@ def is_composite(D: GroupSubset, H: Subgroup) -> tuple[GroupSubset, GroupSubset]
 
 
 def _is_composite(D: GroupSubset, H: Subgroup, slices: dict):
-    """``is_composite`` on the coset-slice table of D and H."""
-    from .designs import convolve_indicators
+    """``is_composite`` on the coset-slice table of D and H.
 
+    The slice D_a contains B exactly when a + B lies in D, that is when a is
+    a sum of D and -B |B| times; it is B when also |D_a| = |B|, and |D_a| is
+    the same across a coset, since D_{g+h} = D_g - h.
+    """
     G = D.group
     nontrivial = [g for g in slices if not H.contains(g)]
     if not nontrivial:
@@ -150,33 +166,18 @@ def _is_composite(D: GroupSubset, H: Subgroup, slices: dict):
     B = slices[nontrivial[0]]
     if B.size == 0 or _difference_lambda(B, H.order) is None:
         return None
-    reps = []
-    for g in nontrivial:
-        match = _translate_rep(G, g, slices[g], B)
-        if match is None:
-            return None
-        reps.append(match)
-    A = GroupSubset(G, tuple(reps))
-    if not convolve_indicators(A, B) == D.indicator():
+    if any(slices[g].size != B.size for g in nontrivial):
+        return None
+    contains_b = _sum_counts(G, D._rows, -B._rows % G.cyclic_orders) == B.size
+    least = {}  # coset representative -> least a in the coset with D_a = B
+    for a in G._elements_at(np.flatnonzero(contains_b)):
+        least.setdefault(H.coset_rep[a], a)
+    if any(g not in least for g in nontrivial):
+        return None
+    A = GroupSubset(G, tuple(least[g] for g in nontrivial))
+    if convolve(A.indicator(), B.indicator()) != D.indicator():
         raise AssertionError("translate matching succeeded but convolution disagrees")
     return A, B
-
-
-def _translate_rep(G, g: Element, Dg: GroupSubset, B: GroupSubset) -> Element | None:
-    """The least a in the coset g + H whose slice D_a is B, or None.
-
-    D_{g+h} = D_g - h, so a = g + h matches exactly when D_g = B + h, and
-    every such h maps the first element of B into D_g.
-    """
-    if Dg.size != B.size:
-        return None
-    orders = np.array(G.cyclic_orders, dtype=np.int64)
-    shifts = (np.array(Dg.elements, dtype=np.int64) - np.array(B.elements[0])) % orders
-    translates = np.sort(G._sum_indices(shifts, B.elements), axis=1)
-    matched = (translates == G.indices(Dg.elements)).all(axis=1)
-    if not matched.any():
-        return None
-    return G.elements[int(G._sum_indices([g], shifts[matched]).min())]
 
 
 @dataclass(frozen=True)

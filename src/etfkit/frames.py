@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import _slice_hits, is_amalgam
+from .classify import _amalgam_slice, _slice_hits, is_amalgam
 from .cyclotomic import _complex_roots
-from .designs import GroupSubset, _difference_lambda, certify_rds
+from .designs import GroupSubset, certify_rds
 from .groups import AbelianGroup, Character, IntVector, Subgroup, VerdictDisagreement, dft_numeric
 from .matrices import ComplexMatrix, _from_exponents
 
@@ -383,8 +383,7 @@ def triple_product_check(
         worst = max(worst, float(np.abs(products(f) - p_b)[off].max()))
         triples_hold = triples_hold and not _off_lines(correlation(y) - t_b, t.h_add).any()
     worst *= (t.s / D.size) ** 3
-    lam = _difference_lambda(B, H.order)
-    moduli_hold = t.s * B.size == D.size and lam is not None and t.s**3 * (B.size - lam) == D.size**2
+    moduli_hold = _amalgam_slice(B, H.order, D.size, t.s)
     want = np.where(np.arange(n) == 0, 1.0, 1.0 / math.sqrt(t.s))
     mod_worst = float(np.abs(t.s / D.size * np.abs(f_b) - want).max())
     passed = triples_hold and moduli_hold

@@ -21,8 +21,10 @@ Element = tuple[int, ...]
 Character = tuple[int, ...]
 
 
-# pairs per index-array block in the subgroup closure check
+# pairs per index-array block of the pair sums (``_pair_blocks``)
 _PAIR_CHUNK = 1 << 20
+# group-order cap: a dense int64 vector over the group stays within 128 MB
+_MAX_GROUP_ORDER = 1 << 24
 
 
 class SearchCapExceeded(RuntimeError):
@@ -42,14 +44,13 @@ class AbelianGroup:
             raise ValueError("at least one cyclic factor is required")
         if any(n < 1 for n in self.cyclic_orders):
             raise ValueError(f"cyclic orders must be positive: {self.cyclic_orders}")
+        if (order := prod(self.cyclic_orders)) > _MAX_GROUP_ORDER:
+            raise ValueError(f"group order {order} exceeds the group-order cap {_MAX_GROUP_ORDER}")
 
     # -- basic structure ------------------------------------------------
     @cached_property
     def order(self) -> int:
-        out = 1
-        for n in self.cyclic_orders:
-            out *= n
-        return out
+        return prod(self.cyclic_orders)
 
     @cached_property
     def exponent(self) -> int:
@@ -71,6 +72,27 @@ class AbelianGroup:
         residues = np.array(elements, dtype=np.int64).reshape(-1, len(self.cyclic_orders))
         return residues @ self.strides
 
+    def _elements_at(self, positions) -> list[Element]:
+        """Residue tuples at enumeration positions, without the element table."""
+        columns = np.unravel_index(np.asarray(positions, dtype=np.int64), self.cyclic_orders)
+        return list(zip(*(c.tolist() for c in columns)))
+
+    def _residues(self, elements) -> np.ndarray:
+        """Residue rows, one per element, of a sequence of group elements;
+        raises ValueError naming the first one that is not an element."""
+        rank = len(self.cyclic_orders)
+        try:
+            rows = np.array(elements)
+        except ValueError:  # rows of differing lengths
+            rows = np.zeros(0)
+        if (rows.shape == (len(elements), rank) and rows.dtype.kind in "iu"
+                and ((rows >= 0) & (rows < self.cyclic_orders)).all()):
+            return rows.astype(np.int64, copy=False)
+        bad = next((g for g in elements if not self.contains(g)), None)
+        if bad is not None:
+            raise ValueError(f"{bad} is not an element of the group")
+        return np.array(elements, dtype=np.int64).reshape(-1, rank)
+
     def _sum_indices(self, a, b) -> np.ndarray:
         """Enumeration positions of x + y for every x in a (rows) and y in b
         (columns), by mixed-radix addition one cyclic factor at a time."""
@@ -81,6 +103,16 @@ class AbelianGroup:
         for k, (n, stride) in enumerate(zip(self.cyclic_orders, self.strides)):
             out += (ra[:, k, None] + rb[None, :, k]) % n * stride
         return out
+
+    def _pair_blocks(self, a, b):
+        """(row slice, column slice, ``_sum_indices`` of those rows of a and
+        columns of b) over blocks of at most ``_PAIR_CHUNK`` pairs."""
+        cols = max(1, min(len(b), _PAIR_CHUNK))
+        rows = _PAIR_CHUNK // cols
+        for i in range(0, len(a), rows):
+            for j in range(0, len(b), cols):
+                r, c = slice(i, i + rows), slice(j, j + cols)
+                yield r, c, self._sum_indices(a[r], b[c])
 
     def index_of(self, g: Element) -> int:
         if not self.contains(g):
@@ -162,13 +194,15 @@ class IntVector:
     values: dict
 
     def __post_init__(self) -> None:
-        clean = {}
-        for g, v in self.values.items():
-            if not self.group.contains(g):
-                raise ValueError(f"{g} is not an element of the group")
-            if v:
-                clean[g] = int(v)
+        self.group._residues(list(self.values))  # raises on a key outside the group
+        clean = {g: int(v) for g, v in self.values.items() if v}
         object.__setattr__(self, "values", clean)
+
+    @classmethod
+    def _from_dense(cls, group: AbelianGroup, dense: np.ndarray) -> "IntVector":
+        """The vector whose value at each enumeration position is ``dense``'s."""
+        support = np.flatnonzero(dense)
+        return cls(group, dict(zip(group._elements_at(support), dense[support].tolist())))
 
     @classmethod
     def indicator(cls, group: AbelianGroup, elements) -> "IntVector":
@@ -188,11 +222,6 @@ class IntVector:
     def __getitem__(self, g: Element) -> int:
         return self.values.get(g, 0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntVector):
-            return NotImplemented
-        return self.group == other.group and self.values == other.values
-
     def __hash__(self):
         return hash((self.group, tuple(sorted(self.values.items()))))
 
@@ -207,22 +236,28 @@ def involution(x: IntVector) -> IntVector:
 
 
 def convolve(x: IntVector, y: IntVector) -> IntVector:
-    """(x*y)(g) = sum_{g'} x(g') y(g - g'), exact integers.
-
-    Each pair (a, b) of support points adds x(a) y(b) at the index of a + b,
-    found by mixed-radix addition one cyclic factor at a time, so work and
-    memory are O(|x| |y|), never O(G^2).
-    """
+    """(x*y)(g) = sum_{g'} x(g') y(g - g'), exact integers, from ``_sum_counts``
+    over the two supports."""
     if x.group != y.group:
         raise ValueError("convolution requires both vectors on the same group")
     G = x.group
-    targets = G._sum_indices(list(x.values), list(y.values))
-    vx = np.array(list(x.values.values()), dtype=np.int64)
-    vy = np.array(list(y.values.values()), dtype=np.int64)
+    weights = tuple(np.array(list(v.values.values()), dtype=np.int64) for v in (x, y))
+    counts = _sum_counts(G, G._residues(list(x.values)), G._residues(list(y.values)), weights)
+    return IntVector._from_dense(G, counts)
+
+
+def _sum_counts(G: AbelianGroup, a: np.ndarray, b: np.ndarray, weights=None) -> np.ndarray:
+    """Dense int64 vector over enumeration positions of the sum of
+    w_a(x) w_b(y) at x + y, over x in a and y in b (residue row arrays);
+    ``weights`` is the pair (w_a, w_b) of int64 arrays, or None for ones.
+    Work is O(|a| |b|), memory O(G) plus one block of pairs, never O(G^2)."""
     out = np.zeros(G.order, dtype=np.int64)
-    np.add.at(out, targets.ravel(), np.outer(vx, vy).ravel())
-    els = G.elements
-    return IntVector(G, {els[i]: int(out[i]) for i in np.flatnonzero(out)})
+    for r, c, positions in G._pair_blocks(a, b):
+        if weights is None:
+            out += np.bincount(positions.ravel(), minlength=G.order)
+        else:
+            np.add.at(out, positions.ravel(), np.outer(weights[0][r], weights[1][c]).ravel())
+    return out
 
 
 def dft(x: IntVector) -> dict[Character, Cyclotomic]:
@@ -265,26 +300,21 @@ class Subgroup:
         G = self.group
         if G.zero not in els:
             raise ValueError("a subgroup must contain the identity")
-        bad = next((g for g in els if not G.contains(g)), None)
-        if bad is not None:
-            raise ValueError(f"{bad} is not an element of the group")
-        # closure on index arrays; rows are checked in the order of a loop
-        # over a (negation of a, then a + b for every b), so the first
-        # failure reported is that loop's first
+        rows = G._residues(els)
+        # closure on index arrays: every pair sum lands in the subgroup
         member = np.zeros(G.order, dtype=bool)
-        member[G.indices(els)] = True
-        negated = member[G.indices([G.neg(a) for a in els])]
-        chunk = max(1, _PAIR_CHUNK // len(els))
-        for start in range(0, len(els), chunk):
-            rows = els[start:start + chunk]
-            summed = member[G._sum_indices(rows, els)]
-            failed = ~negated[start:start + chunk] | ~summed.all(axis=1)
-            if failed.any():
-                i = int(np.argmax(failed))
-                a = rows[i]
-                if not negated[start + i]:
-                    raise ValueError(f"subgroup is not closed under negation at {a}")
-                b = els[int(np.argmin(summed[i]))]
+        member[rows @ G.strides] = True
+        negated = member[(-rows % G.cyclic_orders) @ G.strides]
+        if negated.all() and not _sum_counts(G, rows, rows)[~member].any():
+            return
+        # the failure reported is the first of a loop over a (negation of a,
+        # then a + b for every b)
+        for a, row, closed in zip(els, rows, negated):
+            if not closed:
+                raise ValueError(f"subgroup is not closed under negation at {a}")
+            summed = member[G._sum_indices(row, rows)[0]]
+            if not summed.all():
+                b = els[int(np.argmin(summed))]
                 raise ValueError(f"subgroup is not closed under addition at {a}+{b}")
 
     @classmethod

@@ -21,7 +21,7 @@ import pytest
 import etfkit as ek
 from etfkit.cyclotomic import rational_sqrt
 from etfkit.frames import FusionReport, TripleProductReport
-from etfkit.groups import VerdictDisagreement
+from etfkit.groups import IntVector, VerdictDisagreement
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +146,25 @@ def reference_exact_autocorrelation(C) -> bool:
         if not (acc - want).is_zero():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the all-pairs convolution that the blocked pair sums of ``groups._sum_counts``
+# replaced: every support pair's target and weight product in one array
+
+
+def reference_convolve(x, y):
+    """x * y from one mixed-radix sum over all |x| |y| support pairs."""
+    if x.group != y.group:
+        raise ValueError("convolution requires both vectors on the same group")
+    G = x.group
+    targets = G._sum_indices(list(x.values), list(y.values))
+    vx = np.array(list(x.values.values()), dtype=np.int64)
+    vy = np.array(list(y.values.values()), dtype=np.int64)
+    out = np.zeros(G.order, dtype=np.int64)
+    np.add.at(out, targets.ravel(), np.outer(vx, vy).ravel())
+    els = G.elements
+    return IntVector(G, {els[i]: int(out[i]) for i in np.flatnonzero(out)})
 
 
 # ---------------------------------------------------------------------------

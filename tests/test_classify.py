@@ -1,11 +1,16 @@
 import ast
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 import etfkit as ek
+from etfkit import groups
 
 
 def test_compute_Dg_examples(z15_D, z15_H):
@@ -38,6 +43,22 @@ def test_is_amalgam_examples(z15_D, z15_H, mcf22):
     tc = ek.tpp_complement(5)
     assert not ek.is_amalgam(tc.D, tc.H)  # 216 does not divide 324
     assert not ek.is_amalgam(mcf22.D, mcf22.H)
+
+
+def z2_4_slices_of_difference_sets():
+    """(D, H) in Z_2^4 with every coset slice a difference set of H, while D
+    is not a difference set: each nonidentity coset minus its first element."""
+    g = ek.group_new([2, 2, 2, 2])
+    H = ek.subgroups_of_order(g, 4)[0]
+    return ek.subset(g, [x for _, members in H.cosets[1:] for x in members[1:]]), H
+
+
+def test_is_amalgam_is_false_off_difference_sets():
+    D, H = z2_4_slices_of_difference_sets()
+    assert ek.certify_difference_set(D) is None
+    # each slice is a (4, 3, 2) difference set, but S^3 (3 - 2) = 27 != 81 = D^2
+    assert all(ek.compute_Dg(D, H, g).size == 3 for g, _ in H.cosets[1:])
+    assert not ek.is_amalgam(D, H)
 
 
 def test_is_composite_examples(z15_D, z15_H):
@@ -184,6 +205,35 @@ def test_certificate_serialization(z15_cert):
 def test_classify_tpp71_beyond_4096():
     cert = ek.classify(ek.tpp_complement(71).D)  # G = 5183
     assert cert.is_fine and cert.amalgam and not cert.is_composite
+
+
+def test_pair_sums_stay_within_one_block():
+    # tpp q=47 has |D| = 1152: all its differences at once would be 1152^2
+    # pairs, more than one block
+    D = ek.tpp_complement(47).D
+    pairs = []
+    sum_indices = groups.AbelianGroup._sum_indices
+
+    def recording(self, a, b):
+        out = sum_indices(self, a, b)
+        pairs.append(out.size)
+        return out
+
+    with patch.object(groups.AbelianGroup, "_sum_indices", recording):
+        cert = ek.classify(D)
+    assert cert.is_fine and D.size**2 > groups._PAIR_CHUNK
+    assert pairs and max(pairs) <= groups._PAIR_CHUNK
+
+
+def test_classify_tpp101_peak_memory():
+    # a fresh process, so the peak is this classification's; ru_maxrss is in KiB
+    code = ("import resource, etfkit as ek; ek.classify(ek.tpp_complement(101).D); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    env = {**os.environ, "PYTHONPATH": str(Path(ek.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 300 * 1024
 
 
 @pytest.mark.parametrize(

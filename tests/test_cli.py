@@ -168,6 +168,19 @@ def test_verify_eitff_fails_for_mcfarland(tmp_path):
     assert np.max(np.abs(np.array(angles) - [0, np.pi / 2, np.pi / 2])) < 1e-9
 
 
+def test_verify_eitff_off_a_difference_set_reports_failure(tmp_path, capsys):
+    # every coset slice is a difference set of H, but D is not a difference set
+    g = ek.group_new([2, 2, 2, 2])
+    H = ek.subgroups_of_order(g, 4)[0]
+    D = ek.subset(g, [x for _, members in H.cosets[1:] for x in members[1:]])
+    path = tmp_path / "z2_4.json"
+    cli.write_set(path, D, H)
+    assert run(["verify", path, "--check", "eitff", "--out-dir", tmp_path]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "verify_eitff.report.json").read_text())
+    assert not report["passed"] and report["result"]["agrees_with_amalgam"]
+
+
 def test_verify_triple_and_unbiased(tmp_path):
     set_path = _write_z15(tmp_path)
     assert run(["verify", set_path, "--check", "triple", "--out-dir", tmp_path]) == 0
@@ -304,6 +317,18 @@ def test_construct_beyond_the_field_cap_exits_2_fast(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert f"cap {2**20}" in err
+
+
+def test_group_order_cap_exits_2(tmp_path):
+    argv = ["classify", "--group=2,99999999999999999999", "--elements=0,1", "--out-dir", str(tmp_path)]
+    _assert_usage_error(argv)
+    # order exactly 2^24 is within the cap
+    argv = ["classify", "--group=4096,4096", "--elements=0,1;1,0", "--out-dir", str(tmp_path)]
+    assert _run_quietly(argv)[0] == 0
+    report = json.loads((tmp_path / "classify.report.json").read_text())
+    assert report["certificate"]["not_ds_witness"] == {
+        "element_1": [0, 1], "count_1": 0, "element_2": [1, 4095], "count_2": 1,
+    }
 
 
 def test_float_verdict_disagreeing_with_exact_exits_2(tmp_path, capsys):

@@ -24,6 +24,14 @@ def test_group_new_rejects_bad_orders():
         ek.group_new([3, -1])
 
 
+def test_group_order_cap():
+    assert ek.group_new([4096, 4096]).order == 2**24
+    with pytest.raises(ValueError, match=f"cap {2**24}"):
+        ek.group_new([2**24 + 1])
+    with pytest.raises(ValueError, match=f"cap {2**24}"):
+        ek.group_new([2, 99999999999999999999])
+
+
 def test_char_value_examples():
     g15 = ek.group_new([15])
     v = ek.char_value(g15, (1,), (6,))

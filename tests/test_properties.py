@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 import etfkit as ek
 from etfkit.groups import IntVector
 
-from conftest import oracle_difference_counts, oracle_is_difference_set, oracle_is_rds
+from conftest import (
+    oracle_difference_counts,
+    oracle_is_difference_set,
+    oracle_is_rds,
+    reference_convolve,
+)
 
 SMALL_ORDERS = st.sampled_from(
     [(4,), (6,), (7,), (9,), (12,), (2, 2), (2, 4), (3, 3), (2, 2, 3), (15,)]
@@ -28,13 +34,18 @@ def group_and_subset(draw):
     return g, tuple(els)
 
 
+# pairs per block of the pair sums, small enough that most sets need several
+SMALL_CHUNKS = st.integers(min_value=1, max_value=40)
+
+
 @settings(max_examples=60, deadline=None)
-@given(group_and_subset())
-def test_certify_matches_bruteforce_oracle(data):
+@given(group_and_subset(), SMALL_CHUNKS)
+def test_certify_matches_bruteforce_oracle(data, chunk):
     g, els = data
     D = ek.subset(g, els)
     verdict, lam = oracle_is_difference_set(g.cyclic_orders, D.elements)
-    got = ek.certify_difference_set(D)
+    with patch("etfkit.groups._PAIR_CHUNK", chunk):
+        got = ek.certify_difference_set(D)
     if verdict:
         assert got == lam
     else:
@@ -42,27 +53,50 @@ def test_certify_matches_bruteforce_oracle(data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(group_and_subset())
-def test_difference_counts_match_oracle(data):
+@given(group_and_subset(), SMALL_CHUNKS)
+def test_difference_counts_match_oracle(data, chunk):
     g, els = data
     want = oracle_difference_counts(g.cyclic_orders, els)
     want[g.zero] = len(els)
-    assert ek.difference_counts(ek.subset(g, els)).values == want
+    with patch("etfkit.groups._PAIR_CHUNK", chunk):
+        assert ek.difference_counts(ek.subset(g, els)).values == want
 
 
 @settings(max_examples=40, deadline=None)
-@given(group_and_subset(), st.randoms(use_true_random=False))
-def test_certify_rds_matches_oracle(data, rnd):
+@given(group_and_subset(), st.randoms(use_true_random=False), SMALL_CHUNKS)
+def test_certify_rds_matches_oracle(data, rnd, chunk):
     g, els = data
     D = ek.subset(g, els)
     subs = ek.all_subgroups(g)
     H = subs[rnd.randrange(len(subs))]
     verdict, lam = oracle_is_rds(g.cyclic_orders, D.elements, H.elements)
-    got = ek.certify_rds(D, H)
+    with patch("etfkit.groups._PAIR_CHUNK", chunk):
+        got = ek.certify_rds(D, H)
     if verdict and H.order < g.order:
         assert got is not None and got.lam == lam
     elif not verdict:
         assert got is None
+
+
+@st.composite
+def signed_vector_pair(draw):
+    """Two integer vectors with signed values on one non-cyclic group."""
+    g = ek.group_new(draw(st.sampled_from([(2, 2), (2, 4), (3, 3), (2, 6), (2, 2, 3), (4, 4)])))
+
+    def vector():
+        support = draw(st.lists(st.sampled_from(g.elements), unique=True, max_size=g.order))
+        return IntVector(g, {x: draw(st.integers(-50, 50)) for x in support})
+
+    return vector(), vector()
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_vector_pair(), SMALL_CHUNKS)
+def test_convolve_with_signed_weights_matches_reference(vectors, chunk):
+    x, y = vectors
+    with patch("etfkit.groups._PAIR_CHUNK", chunk):
+        got = ek.convolve(x, y)
+    assert got == reference_convolve(x, y)
 
 
 @settings(max_examples=40, deadline=None)
