@@ -11,62 +11,156 @@ Fourier side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import _reduce
-from .designs import (
-    GroupSubset,
-    _check_spectrum,
-    _difference_lambda,
-    certify_difference_set,
-    non_ds_witness,
-    welch_integer_S,
+from .cyclotomic import _complex_roots
+from .designs import GroupSubset, certify_difference_set, non_ds_witness, welch_integer_S
+from .groups import (
+    _PAIR_CHUNK, Element, Subgroup, VerdictDisagreement, _subgroup_sets, _sum_counts, convolve,
+    dft_numeric,
 )
-from .groups import Element, Subgroup, _subgroup_sets, _sum_counts, convolve
+
+
+class _SliceTable:
+    """The coset slices Y_a = (D - r_a) & H, for the coset representatives
+    r_0 = 0, r_1, ..., r_S of H, as (S+1) x n indicators over the positions
+    of H.elements (n = |H|).  Every check that depends only on H and G/H
+    reads them; the other parts are derived on first use, the n x n tables
+    only for the triple products and the angle log of small H."""
+
+    def __init__(self, D: GroupSubset, H: Subgroup) -> None:
+        G = D.group
+        self.D, self.H, self.s = D, H, G.order // H.order - 1
+        self.reps = tuple(g for g, _ in H.cosets)
+        self.h_rows = G._residues(H.elements)
+        self.h_index = self.h_rows @ G.strides  # ascending
+        in_d = np.zeros(G.order, dtype=bool)
+        in_d[G.indices(D._rows)] = True
+        self.hits = np.empty((len(self.reps), H.order), dtype=bool)
+        for r, c, positions in G._pair_blocks(G._residues(self.reps), self.h_rows):
+            self.hits[r, c] = in_d[positions]
+        self.sizes = self.hits.sum(axis=1)
+
+    @cached_property
+    def slices(self) -> dict:  # {r_a: Y_a}
+        els = self.H.elements
+        return {r: GroupSubset(self.D.group, tuple(els[j] for j in np.flatnonzero(row).tolist()))
+                for r, row in zip(self.reps, self.hits)}
+
+    @cached_property
+    def not_fine(self) -> str | None:
+        """Why D fails (iii), each coset off H meeting D in |D|/S points."""
+        if self.s <= 0 or self.D.size % self.s:
+            return "S does not divide |D|"
+        if self.sizes[0]:
+            return "it meets H"
+        if (self.sizes[1:] != self.D.size // self.s).any():
+            return "uneven coset slices"
+        return None
+
+    def require_fine(self) -> "_SliceTable":
+        if self.not_fine is not None:
+            raise ValueError(f"subset is not fine for H: {self.not_fine}")
+        return self
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(S+1) x n int64: at (a, u), the pairs (x, y) of Y_a with x - y =
+        h_u, in blocks of at most ``_PAIR_CHUNK`` pairs."""
+        G, out = self.D.group, np.zeros(self.hits.shape, dtype=np.int64)
+        for a in np.flatnonzero(self.sizes):
+            y = self.h_rows[self.hits[a]]
+            for _, _, positions in G._pair_blocks(y, -y % G.cyclic_orders):
+                at = np.searchsorted(self.h_index, positions.ravel())
+                out[a] += np.bincount(at, minlength=self.H.order)
+        return out
+
+    def is_difference_set(self, a: int) -> bool:
+        """Whether Y_a is a difference set of H: the counts off 0 add up to
+        k (k - 1), k = |Y_a|, so each must be k (k - 1) / (n - 1)."""
+        k, n = int(self.sizes[a]), self.H.order
+        return n == 1 or bool((self.counts[a, 1:] * (n - 1) == k * (k - 1)).all())
+
+    def amalgam_slices(self, rows, d: int) -> bool:
+        """Whether each Y_a, a in ``rows``, is a difference set of H with
+        |Y_a| = d/S and S^3 (|Y_a| - Lambda) = d^2, as every slice of an
+        amalgam of d points with Welch reciprocal S is."""
+        n = self.H.order
+        for a in rows:
+            k = int(self.sizes[a])
+            lam = k * (k - 1) // (n - 1) if n > 1 else 0
+            if self.s * k != d or self.s**3 * (k - lam) != d * d or not self.is_difference_set(a):
+                return False
+        return True
+
+    @cached_property
+    def amalgam(self) -> bool:
+        d = self.D.size
+        return d * d % self.s**3 == 0 and self.amalgam_slices(np.flatnonzero(self.sizes), d)
+
+    @cached_property
+    def labels(self) -> tuple:  # annihilator coset representatives: on H, the eta_k
+        return tuple(g for g, _ in self.H.annihilator().cosets)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """(S+1) x n: F_a(eta_k), the sum of eta_k over Y_a, from the columns
+        of H that some slice meets, in blocks of at most ``_PAIR_CHUNK``
+        character values.  Row d of E_gamma has one entry, in the column of
+        d's coset, so E_gamma* E_gamma' is diagonal with entry a = (S/|D|)
+        (gamma' - gamma)(r_a) F_a(eta), eta the restriction of gamma' - gamma."""
+        G = self.D.group
+        met = np.flatnonzero(self.hits.any(axis=0))
+        y, roots = self.hits[:, met].astype(np.int64), np.array(_complex_roots(G.exponent))
+        step = max(1, _PAIR_CHUNK // max(1, len(met)))
+        return np.hstack([y @ roots[G._pair_exponents(self.labels[i:i + step], self.h_rows[met])].T
+                          for i in range(0, len(self.labels), step)])
+
+    @cached_property
+    def h_add(self) -> np.ndarray:  # position of h_i + h_j
+        return np.searchsorted(self.h_index, self.D.group._sum_indices(self.h_rows, self.h_rows))
+
+    @cached_property
+    def eta_add(self) -> np.ndarray:  # index of eta_i + eta_j
+        G = self.D.group
+        coset_of = np.empty(G.order, dtype=np.int64)
+        for k, (_, members) in enumerate(self.H.annihilator().cosets):
+            coset_of[G.indices(members)] = k
+        return coset_of[G._sum_indices(self.labels, self.labels)]
+
+    @cached_property
+    def chars(self) -> np.ndarray:  # eta_k(h_j)
+        G = self.D.group
+        return np.array(_complex_roots(G.exponent))[G._pair_exponents(self.labels, self.h_rows)]
 
 
 def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
-    """The slice H & (D - g), as a subset of H."""
-    return _slices(D, H, [g])[g]
-
-
-def _slices(D: GroupSubset, H: Subgroup, shifts=None) -> dict:
-    """The slice H & (D - g) for every g in ``shifts`` (by default the coset
-    representatives of H), keyed by g, from one index-array pass."""
-    if shifts is None:
-        shifts = [g for g, _ in H.cosets]
-    return {
-        g: GroupSubset(D.group, tuple(H.elements[i] for i in np.flatnonzero(row).tolist()))
-        for g, row in zip(shifts, _slice_hits(D, H, shifts))
-    }
-
-
-def _slice_hits(D: GroupSubset, H: Subgroup, shifts) -> np.ndarray:
-    """Row g: whether g + h lies in D, for every h in H in its order."""
+    """The slice H & (D - g), as a subset of H: D_r - (g - r) for the
+    representative r of g's coset."""
     G = D.group
-    in_d = np.zeros(G.order, dtype=bool)
-    in_d[G.indices(D._rows)] = True
-    out = np.empty((len(shifts), H.order), dtype=bool)
-    for r, c, positions in G._pair_blocks(G._residues(shifts), G._residues(H.elements)):
-        out[r, c] = in_d[positions]
-    return out
+    if not G.contains(g):
+        raise ValueError(f"{g} is not an element of the group")
+    rep = H.coset_rep[g]
+    Y = _SliceTable(D, H).slices[rep]
+    return GroupSubset(G, tuple(G.add(y, G.sub(rep, g)) for y in Y.elements))
 
 
 def is_fine(D: GroupSubset, cap: int = 10000) -> Subgroup | None:
     """First subgroup of order G/(S+1) disjoint from D, in deterministic
-    order, or None.  On success the three equivalent fineness conditions are
-    cross-checked exactly; disagreement raises."""
+    order, or None.  On success the equivalent fineness conditions are
+    cross-checked; disagreement raises."""
     if certify_difference_set(D) is None:
         return None
     s = welch_integer_S(D.size, D.group.order)
     found = None if s is None else _fine_subgroup(D, s, cap)
-    return None if found is None else found[0]
+    return None if found is None else found.H
 
 
-def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> tuple[Subgroup, dict] | None:
+def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> _SliceTable | None:
     """``is_fine`` for a certified difference set with Welch reciprocal S,
-    with the coset-slice table that its consistency check built."""
+    as the slice table of D over the subgroup found, checked to be fine."""
     G = D.group
     if G.order % (s + 1):
         return None
@@ -76,34 +170,18 @@ def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> tuple[Subgroup, dict] | 
     els = next((els for els in _subgroup_sets(G, k, cap, D.elements) if len(els) == k), None)
     if els is None:
         return None
-    H = Subgroup(G, els)
-    slices = _slices(D, H)
-    _assert_fine_consistency(D, H, s, slices)
-    return H, slices
-
-
-def _assert_fine_consistency(D: GroupSubset, H: Subgroup, s: int, slices: dict) -> None:
-    # (ii) the DFT of chi_D equals -D/S on the nontrivial annihilator, exactly:
-    # row chi holds S * sum_d conj(chi(d)) + D, one batched zero test
-    G = D.group
-    ann = H.annihilator().elements[1:]  # [0] is the trivial character
-    n = len(ann)
-    exps = np.zeros((n, D.size + 1), dtype=np.int64)
-    exps[:, :-1] = -G._pair_exponents(ann, D.elements)
-    weights = np.tile([s] * D.size + [D.size], n)
-    _, rem = _reduce(G.exponent, n, np.repeat(np.arange(n), D.size + 1), exps.ravel(), weights)
-    zero = (rem == 0).all(axis=1)
-    if not zero.all():
-        raise AssertionError(f"fineness Fourier condition failed at {ann[np.argmin(zero)]}")
-    # (iii) every coset off H meets D in exactly D/S points
-    if D.size % s:
-        raise AssertionError("S must divide D for a fine difference set")
-    per = D.size // s
-    for g, slc in slices.items():
-        size = slc.size
-        want = 0 if H.contains(g) else per
-        if size != want:
-            raise AssertionError(f"coset slice at {g} has size {size}, expected {want}")
+    t = _SliceTable(D, Subgroup(G, els))
+    # (iii), every coset off H meeting D in |D|/S points, decides.  On the
+    # annihilator the DFT of chi_D is the DFT over G/H of the coset counts,
+    # so by Fourier inversion there (iii) is (ii), the DFT of chi_D equal to
+    # -|D|/S on the nontrivial annihilator; the floats cross-check it
+    ann = G.indices(t.H.annihilator().elements[1:])  # [0] is the trivial character
+    spectrum = dft_numeric(D.indicator())[ann]
+    if (np.abs(spectrum + D.size / s).max(initial=0.0) <= 1e-9 * D.size) != (t.not_fine is None):
+        raise VerdictDisagreement("fineness Fourier condition disagrees with the coset slice sizes")
+    if t.not_fine is not None:
+        raise AssertionError(f"a disjoint subgroup of order G/(S+1) is not fine: {t.not_fine}")
+    return t
 
 
 def is_amalgam(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> bool:
@@ -114,33 +192,26 @@ def is_amalgam(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> bool:
     against the closed-form Fourier magnitude pattern of small difference
     sets inside a fine set.
     """
-    return _is_amalgam(D, H, _slices(D, H), tol)
+    return _checked_amalgam(_SliceTable(D, H), tol)
 
 
-def _is_amalgam(D: GroupSubset, H: Subgroup, slices: dict, tol: float) -> bool:
-    """``is_amalgam`` on the coset-slice table of D and H."""
-    s = D.group.order // H.order - 1
-    if (D.size**2) % (s**3):
-        return False
-    # empty slices count as difference sets for H
-    if not all(_amalgam_slice(Dg, H.order, D.size, s) for Dg in slices.values() if Dg.size):
+def _checked_amalgam(t: _SliceTable, tol: float) -> bool:
+    """``is_amalgam`` on the slice table of D and H."""
+    if t.s == 0:
+        raise ValueError("H must be a proper subgroup")
+    if not t.amalgam:
         return False
     # by Fourier inversion on H, the slice conditions are exactly
-    # |DFT(chi_B)|^2 == (D^2/S^3) * (1 + (S-1) chi_ann) for each nonempty slice
-    ann = H.annihilator()
-    base = D.size**2 / s**3
-    for Dg in slices.values():
-        if Dg.size:
-            _check_spectrum(Dg, ann, base * s, base, tol, 1.0)
+    # |F_a(eta)|^2 == (D^2/S^3) * (1 + (S-1) [eta = 0]) for each nonempty slice
+    power = np.abs(t.spectrum[t.sizes > 0]) ** 2
+    want = np.full(len(t.labels), t.D.size**2 / t.s**3)
+    want[0] = (t.D.size // t.s) ** 2
+    bad = np.argwhere(np.abs(power - want) > tol * np.maximum(1.0, want))
+    if bad.size:
+        a, k = bad[0]
+        raise VerdictDisagreement(
+            f"Fourier cross-check failed at {t.labels[k]}: {power[a, k]} vs {want[k]}")
     return True
-
-
-def _amalgam_slice(Y: GroupSubset, n: int, d: int, s: int) -> bool:
-    """Whether Y, inside a subgroup of order n, is a difference set with
-    |Y| = d/S and S^3 (|Y| - Lambda_Y) = d^2, as every slice of an amalgam
-    of d points with Welch reciprocal S is."""
-    lam = _difference_lambda(Y, n) if s * Y.size == d else None
-    return lam is not None and s**3 * (Y.size - lam) == d * d
 
 
 def is_composite(D: GroupSubset, H: Subgroup) -> tuple[GroupSubset, GroupSubset] | None:
@@ -149,24 +220,23 @@ def is_composite(D: GroupSubset, H: Subgroup) -> tuple[GroupSubset, GroupSubset]
     B is the slice at the first nonidentity coset representative; each other
     coset is searched for the least translate-matching representative.
     """
-    return _is_composite(D, H, _slices(D, H))
+    return _is_composite(_SliceTable(D, H))
 
 
-def _is_composite(D: GroupSubset, H: Subgroup, slices: dict):
-    """``is_composite`` on the coset-slice table of D and H.
+def _is_composite(t: _SliceTable):
+    """``is_composite`` on the slice table of D and H.
 
     The slice D_a contains B exactly when a + B lies in D, that is when a is
     a sum of D and -B |B| times; it is B when also |D_a| = |B|, and |D_a| is
     the same across a coset, since D_{g+h} = D_g - h.
     """
+    D, H = t.D, t.H
     G = D.group
-    nontrivial = [g for g in slices if not H.contains(g)]
+    nontrivial = t.reps[1:]
     if not nontrivial:
         return None
-    B = slices[nontrivial[0]]
-    if B.size == 0 or _difference_lambda(B, H.order) is None:
-        return None
-    if any(slices[g].size != B.size for g in nontrivial):
+    B = t.slices[nontrivial[0]]
+    if B.size == 0 or (t.sizes[1:] != B.size).any() or not t.is_difference_set(1):
         return None
     contains_b = _sum_counts(G, D._rows, -B._rows % G.cyclic_orders) == B.size
     least = {}  # coset representative -> least a in the coset with D_a = B
@@ -262,20 +332,19 @@ def classify(D: GroupSubset, cap: int = 10000) -> DesignCertificate:
             D, True, lam, None, None, None, False, None, div,
             failure_reason=reason,
         )
-    found = _fine_subgroup(D, s, cap)
-    if found is None:
+    t = _fine_subgroup(D, s, cap)
+    if t is None:
         return DesignCertificate(
             D, True, lam, s, None, None, False, None, div,
             failure_reason=f"no disjoint subgroup of order {G.order // (s + 1)}"
             if G.order % (s + 1) == 0
             else "S+1 does not divide the group order",
         )
-    H, dg_table = found
-    _appendix_counting_identity(lam, H, dg_table)
-    amalgam = _is_amalgam(D, H, dg_table, 1e-9)
-    witness = _is_composite(D, H, dg_table) if amalgam else None
+    _appendix_counting_identity(lam, t)
+    amalgam = _checked_amalgam(t, 1e-9)
+    witness = _is_composite(t) if amalgam else None
     cert = DesignCertificate(
-        D, True, lam, s, H, dg_table, amalgam, witness, div,
+        D, True, lam, s, t.H, t.slices, amalgam, witness, div,
         failure_reason=None,
     )
     # hierarchy: composite => amalgam => fine, by construction of the gating
@@ -295,10 +364,10 @@ def _divisibility_flags(d: int, g: int, s: int | None) -> dict:
     return out
 
 
-def _appendix_counting_identity(lam: int, H: Subgroup, dg_table: dict) -> None:
+def _appendix_counting_identity(lam: int, t: _SliceTable) -> None:
     # (H-1)*Lambda must equal the sum of |D_g| (|D_g|-1) over coset reps
-    total = sum(s.size * (s.size - 1) for s in dg_table.values())
-    if (H.order - 1) * lam != total:
+    total = int((t.sizes * (t.sizes - 1)).sum())
+    if (t.H.order - 1) * lam != total:
         raise AssertionError(
             f"slice counting identity failed: {(H.order - 1) * lam} != {total}"
         )

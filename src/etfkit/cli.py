@@ -440,11 +440,16 @@ def cmd_verify(args) -> int:
         passed = result.passed
         report = _report("verify", params, passed=passed, result=result.as_dict())
     elif args.check == "triple":
-        H = _need_subgroup(D, H, cap)
-        witness = classify_set(D, cap=cap).composite_witness
+        cert = classify_set(D, cap=cap)
+        H = H or cert.fine_subgroup
+        if H is None:
+            raise ValueError("set is not fine and no subgroup was supplied")
+        witness = cert.composite_witness
         composite = witness is not None
         if composite:
             B = witness[1]
+        elif H.order == D.group.order:
+            raise ValueError("H must be a proper subgroup")
         else:  # expected to fail: use the first slice
             B = compute_Dg(D, H, next(g for g, _ in H.cosets if not H.contains(g)))
         result = frames.triple_product_check(D, H, None, B, tol=tol)
@@ -591,8 +596,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, SearchCapExceeded, VerdictDisagreement) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError, SearchCapExceeded,
+            VerdictDisagreement) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -118,21 +118,17 @@ def _difference_vector(D: GroupSubset) -> np.ndarray:
 def certify_difference_set(D: GroupSubset) -> int | None:
     """Lambda if D is a difference set (every nonzero element is a difference
     exactly Lambda times), else None."""
-    return None if D.size == 0 else _difference_lambda(D, D.group.order)
-
-
-def _difference_lambda(D: GroupSubset, n: int) -> int | None:
-    """Lambda if the nonempty set D, inside a subgroup of order n (n = G for
-    the whole group), has every nonzero element of that subgroup as a
-    difference exactly Lambda times, else None."""
+    n = D.group.order
+    if D.size == 0:
+        return None
     if n == 1:
         return 0
     num = D.size * (D.size - 1)
     if num % (n - 1):
         return None
     lam = num // (n - 1)
-    # the differences stay in the subgroup and the counts off zero add up to
-    # Lambda (n - 1), so each occurring count is Lambda iff all n - 1 are
+    # the counts off zero add up to Lambda (n - 1), so each occurring count
+    # is Lambda iff all n - 1 are
     counts = _difference_vector(D)[1:]
     return lam if (counts[counts != 0] == lam).all() else None
 
@@ -170,29 +166,21 @@ def certify_rds(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> RdsParams | N
     expected[0] = d
     if not np.array_equal(_difference_vector(D), expected):
         return None
-    _check_spectrum(D, H.annihilator(), d - lam * h, d, tol, d * d)
-    return RdsParams(G.order // h, h, d, lam)
-
-
-def _check_spectrum(
-    X: GroupSubset, ann: Subgroup, on: float, off: float, tol: float, floor: float
-) -> None:
-    """Float cross-check of a two-level spectrum: |DFT(chi_X)|^2 must be
-    ``on`` on the characters in ``ann`` and ``off`` elsewhere (|X|^2 at the
-    trivial character), each within tol * max(floor, expected value); the
-    exact verdict has already passed, so a miss raises VerdictDisagreement."""
-    G = X.group
+    # float cross-check of the exact verdict: |DFT(chi_D)|^2 is D - Lambda h
+    # on the annihilator of H and D elsewhere (D^2 at the trivial character),
+    # each within tol * max(D^2, expected value); a miss raises
     in_ann = np.zeros(G.order, dtype=bool)
-    in_ann[G.indices(ann.elements)] = True
-    want = np.where(in_ann, float(on), float(off))
-    want[0] = X.size**2
-    spectrum = np.abs(dft_numeric(X.indicator())) ** 2
-    bad = np.flatnonzero(np.abs(spectrum - want) > tol * np.maximum(floor, want))
+    in_ann[G.indices(H.annihilator().elements)] = True
+    want = np.where(in_ann, float(d - lam * h), float(d))
+    want[0] = d * d
+    spectrum = np.abs(dft_numeric(D.indicator())) ** 2
+    bad = np.flatnonzero(np.abs(spectrum - want) > tol * np.maximum(d * d, want))
     if bad.size:
         j = bad[0]
         raise VerdictDisagreement(
             f"Fourier cross-check failed at {G._elements_at([j])[0]}: {spectrum[j]} vs {want[j]}"
         )
+    return RdsParams(G.order // h, h, d, lam)
 
 
 def welch_integer_S(d: int, g: int) -> int | None:

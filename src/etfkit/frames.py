@@ -18,8 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classify import _amalgam_slice, _slice_hits, is_amalgam
-from .cyclotomic import _complex_roots
+from .classify import _SliceTable
 from .designs import GroupSubset, certify_rds
 from .groups import AbelianGroup, Character, IntVector, Subgroup, VerdictDisagreement, dft_numeric
 from .matrices import ComplexMatrix, _from_exponents
@@ -94,29 +93,11 @@ def phi_gamma(D: GroupSubset, H: Subgroup, gamma: Character) -> ComplexMatrix:
                            (exp[1:] + exp[0]).T)
 
 
-def _fineness_guard(D: GroupSubset, H: Subgroup) -> tuple[int, np.ndarray]:
-    """S and the slice table of the nonidentity cosets (``_slice_hits``),
-    once D is checked to be fine for H."""
-    G = D.group
-    if G.order % H.order:
-        raise ValueError("H does not divide the group order")
-    s = G.order // H.order - 1
-    if s <= 0 or D.size % s:
-        raise ValueError("subset is not fine for H: S does not divide |D|")
-    hits = _slice_hits(D, H, [g for g, _ in H.cosets])  # [0] is H itself
-    if hits[0].any():
-        raise ValueError("subset is not fine for H: it meets H")
-    if (hits[1:].sum(axis=1) != D.size // s).any():
-        raise ValueError("subset is not fine for H: uneven coset slices")
-    return s, hits[1:]
-
-
 def e_gamma(D: GroupSubset, H: Subgroup, gamma: Character) -> ComplexMatrix:
     """Sparse isometry with E(d, g_bar) = sqrt(S/D) gamma(d) iff d lies in the
     coset g_bar; columns indexed by nonidentity cosets of H."""
-    s, _ = _fineness_guard(D, H)
-    G = D.group
-    reps = [g for g, _ in H.cosets if not H.contains(g)]
+    t = _SliceTable(D, H).require_fine()
+    G, s, reps = D.group, t.s, t.reps[1:]
     column = {g: k for k, g in enumerate(reps)}
     rows = D.ordered
     cell = [i * len(reps) + column[H.coset_rep[d]] for i, d in enumerate(rows)]
@@ -220,39 +201,6 @@ def coset_isometries(D: GroupSubset, H: Subgroup) -> dict[Character, ComplexMatr
     return {g: e_gamma(D, H, g) for g, _ in H.annihilator().cosets}
 
 
-@dataclass(frozen=True)
-class _SliceSpectrum:
-    """values[a, k] = F_a(eta_k), the sum of eta_k over the slice Y_a =
-    (D - r_a) & H of the a-th nonidentity coset r_a + H; eta_k is the
-    restriction to H of the k-th annihilator coset representative, eta_0 =
-    0.  Row d of E_gamma has one entry, in the column of d's coset, so
-    E_gamma* E_gamma' is diagonal with entry a = (S/|D|) (gamma' -
-    gamma)(r_a) F_a(eta), eta the restriction of gamma' - gamma."""
-
-    s: int
-    labels: tuple  # the annihilator coset representatives
-    slices: np.ndarray  # S x n, 0/1 over the positions of H.elements
-    h_add: np.ndarray  # position of h_i + h_j
-    eta_add: np.ndarray  # index of eta_i + eta_j
-    chars: np.ndarray  # eta_k(h_j)
-    values: np.ndarray
-
-
-def _slice_spectrum(D: GroupSubset, H: Subgroup) -> _SliceSpectrum:
-    s, hits = _fineness_guard(D, H)
-    G = D.group
-    cosets = H.annihilator().cosets
-    labels = tuple(g for g, _ in cosets)
-    coset_of, position = np.empty(G.order, dtype=np.int64), np.empty(G.order, dtype=np.int64)
-    for k, (_, members) in enumerate(cosets):
-        coset_of[G.indices(members)] = k
-    position[G.indices(H.elements)] = np.arange(H.order)
-    slices = hits.astype(np.int64)
-    chars = np.array(_complex_roots(G.exponent))[G._pair_exponents(labels, H.elements)]
-    return _SliceSpectrum(s, labels, slices, position[G._sum_indices(H.elements, H.elements)],
-                          coset_of[G._sum_indices(labels, labels)], chars, slices @ chars.T)
-
-
 def _off_lines(delta: np.ndarray, h_add: np.ndarray) -> np.ndarray:
     """n^2 times the part of delta whose Fourier transform on H lies off the
     lines eta1 = 0, eta2 = 0 and eta1 + eta2 = 0, which meet only at 0."""
@@ -271,11 +219,11 @@ def ectff_check(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> FusionReport:
     exactly when c is a constant c1 off 0 and S^2 (|D| - c1) = |D|^2.  That
     decides; the float norms cross-check, and disagreement raises.
     """
-    t = _slice_spectrum(D, H)
-    n = len(t.labels)
-    c = np.take_along_axis(t.slices.T @ t.slices, t.h_add, axis=1).sum(axis=0)
+    t = _SliceTable(D, H).require_fine()
+    n = H.order
+    c = t.counts.sum(axis=0)
     passed = n == 1 or bool((c[1:] == c[1]).all() and t.s**2 * (D.size - c[1]) == D.size**2)
-    norms = (t.s / D.size) ** 2 * (np.abs(t.values[:, 1:]) ** 2).sum(axis=0)
+    norms = (t.s / D.size) ** 2 * (np.abs(t.spectrum[1:, 1:]) ** 2).sum(axis=0)
     worst = float(np.abs(norms - 1.0).max(initial=0.0))
     if passed != (worst <= tol):
         raise VerdictDisagreement("chordal ECTFF residual disagrees with the slice difference counts")
@@ -288,12 +236,12 @@ def eitff_check(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> FusionReport:
     The exact amalgam certification decides; the singular values (S/|D|)
     |F_a(eta)| cross-check it, and disagreement raises.
     """
-    t = _slice_spectrum(D, H)
-    n = len(t.labels)
+    t = _SliceTable(D, H).require_fine()
+    n = H.order
     target = 1.0 / math.sqrt(t.s)
-    sigma = t.s / D.size * np.abs(t.values)
+    sigma = t.s / D.size * np.abs(t.spectrum[1:])
     worst = float(np.abs(sigma[:, 1:] - target).max(initial=0.0))
-    passed = is_amalgam(D, H)
+    passed = t.amalgam
     if passed != (worst <= tol):
         raise VerdictDisagreement(
             "spectral EITFF verdict disagrees with the amalgam certification"
@@ -358,14 +306,15 @@ def triple_product_check(
     |D|^2/S^3.  These integer tests decide; the float residuals
     cross-check, and disagreement raises.
     """
-    t = _slice_spectrum(D, H)
-    n = len(t.labels)
+    t = _SliceTable(D, H).require_fine()
+    n = H.order
     if n < 3:
         raise ValueError("triple products need at least three cosets")
-    cosets = {H.coset_rep[b] for b in B.elements}
-    if len(cosets) > 1:
+    slices_b = _SliceTable(B, H)
+    if np.count_nonzero(slices_b.sizes) > 1:
         raise ValueError("B must lie in one coset of H")
-    y_b = _slice_hits(B, H, [cosets.pop() if cosets else D.group.zero])[0].astype(np.int64)
+    row_b = int(np.argmax(slices_b.sizes))
+    y_b = slices_b.hits[row_b].astype(np.int64)
     f_b = t.chars @ y_b
     third = np.argmax(t.eta_add == 0, axis=1)[t.eta_add]  # index of -eta1 - eta2
     off = third != 0
@@ -379,11 +328,11 @@ def triple_product_check(
         return f[:, None] * f[None, :] * f[third]
 
     worst, triples_hold, p_b, t_b = 0.0, True, products(f_b), correlation(y_b)
-    for y, f in zip(t.slices, t.values):
+    for y, f in zip(t.hits[1:].astype(np.int64), t.spectrum[1:]):
         worst = max(worst, float(np.abs(products(f) - p_b)[off].max()))
         triples_hold = triples_hold and not _off_lines(correlation(y) - t_b, t.h_add).any()
     worst *= (t.s / D.size) ** 3
-    moduli_hold = _amalgam_slice(B, H.order, D.size, t.s)
+    moduli_hold = slices_b.amalgam_slices([row_b], D.size)
     want = np.where(np.arange(n) == 0, 1.0, 1.0 / math.sqrt(t.s))
     mod_worst = float(np.abs(t.s / D.size * np.abs(f_b) - want).max())
     passed = triples_hold and moduli_hold

@@ -8,7 +8,7 @@ matrix built downstream inherits it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
@@ -293,6 +293,7 @@ def dft_numeric(x: IntVector) -> np.ndarray:
 class Subgroup:
     group: AbelianGroup
     elements: tuple
+    _generators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         els = tuple(sorted(set(self.elements)))
@@ -301,14 +302,16 @@ class Subgroup:
         if G.zero not in els:
             raise ValueError("a subgroup must contain the identity")
         rows = G._residues(els)
-        # closure on index arrays: every pair sum lands in the subgroup
-        member = np.zeros(G.order, dtype=bool)
-        member[rows @ G.strides] = True
-        negated = member[(-rows % G.cyclic_orders) @ G.strides]
-        if negated.all() and not _sum_counts(G, rows, rows)[~member].any():
+        positions = rows @ G.strides
+        generators = _generating_set(G, rows, positions)
+        if generators is not None:
+            object.__setattr__(self, "_generators", tuple(els[i] for i in generators))
             return
         # the failure reported is the first of a loop over a (negation of a,
         # then a + b for every b)
+        member = np.zeros(G.order, dtype=bool)
+        member[positions] = True
+        negated = member[(-rows % G.cyclic_orders) @ G.strides]
         for a, row, closed in zip(els, rows, negated):
             if not closed:
                 raise ValueError(f"subgroup is not closed under negation at {a}")
@@ -316,6 +319,7 @@ class Subgroup:
             if not summed.all():
                 b = els[int(np.argmin(summed))]
                 raise ValueError(f"subgroup is not closed under addition at {a}+{b}")
+        raise AssertionError("the span of the greedy generators disagrees with the pair sums")
 
     @classmethod
     def trivial(cls, group: AbelianGroup) -> "Subgroup":
@@ -367,19 +371,41 @@ class Subgroup:
 
     @cached_property
     def _annihilator(self) -> "Subgroup":
-        # a character trivial on a generating set is trivial on the subgroup;
-        # each generator is outside the span of the ones before, so at most
-        # log2 |H| of them
-        G, gens, span = self.group, [], {self.group.zero}
-        for h in self.elements:
-            if h not in span:
-                gens.append(h)
-                span = set(_closure_with(G, span, h))
-        trivial = (G._pair_exponents(G.characters, gens) == 0).all(axis=1)
+        # a character trivial on a generating set is trivial on the subgroup
+        G = self.group
+        trivial = (G._pair_exponents(G.characters, self._generators) == 0).all(axis=1)
         out = Subgroup(G, tuple(chi for chi, t in zip(G.characters, trivial) if t))
         if out.order * self.order != G.order:
             raise AssertionError(f"annihilator of order {out.order} for a subgroup of {self.order}")
         return out
+
+
+def _generating_set(G: AbelianGroup, rows: np.ndarray, positions: np.ndarray) -> list[int] | None:
+    """Indices of a greedy generating set of the sorted set with residue rows
+    ``rows`` and enumeration ``positions``, if it is a subgroup, else None.
+    Each generator is the first element outside the span so far, and adds
+    its multiples up to the first one back in it, so it at least doubles the
+    span: at most log2 |set| rounds.  No span may outgrow the set, so the set
+    is a subgroup exactly when the span comes to cover it."""
+    orders = np.array(G.cyclic_orders)
+    span = np.zeros(G.order, dtype=bool)
+    span[0] = True
+    span_rows, generators = rows[:1, None], []  # the identity leads every span
+    steps = np.arange(len(rows) + 1)[:, None]
+    while True:
+        inside = span[positions]
+        i = inside.argmin()
+        if inside[i]:
+            return generators
+        grown = (span_rows + steps[:len(rows) // len(span_rows) + 1] * rows[i]) % orders
+        grown_at = np.dot(grown, G.strides)
+        back = span[grown_at[0, 1:]]  # the multiples of the new generator
+        t = back.argmax() + 1
+        if not back[t - 1]:
+            return None
+        span[grown_at[:, :t]] = True
+        span_rows = grown[:, :t].reshape(-1, 1, len(orders))
+        generators.append(i)
 
 
 def _closure(group: AbelianGroup, generators) -> tuple:

@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -59,6 +60,13 @@ def test_is_amalgam_is_false_off_difference_sets():
     # each slice is a (4, 3, 2) difference set, but S^3 (3 - 2) = 27 != 81 = D^2
     assert all(ek.compute_Dg(D, H, g).size == 3 for g, _ in H.cosets[1:])
     assert not ek.is_amalgam(D, H)
+
+
+def test_is_amalgam_needs_a_proper_subgroup(z15_D):
+    G = z15_D.group
+    with pytest.raises(ValueError, match="H must be a proper subgroup"):
+        ek.is_amalgam(z15_D, ek.Subgroup.full(G))
+    assert ek.is_composite(z15_D, ek.Subgroup.full(G)) is None
 
 
 def test_is_composite_examples(z15_D, z15_H):
@@ -234,6 +242,23 @@ def test_classify_tpp101_peak_memory():
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 300 * 1024
+
+
+def test_classify_peaks_no_higher_than_certification():
+    # every stage after the difference counts works on H and G/H; fresh
+    # groups, so each traced call builds its own cached tables
+    D = ek.singer_complement(2, 7).D
+
+    def peak(stage):
+        X = ek.subset(ek.group_new(D.group.cyclic_orders), D.elements)
+        tracemalloc.start()
+        try:
+            stage(X)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(ek.classify) <= peak(ek.certify_difference_set)
 
 
 @pytest.mark.parametrize(

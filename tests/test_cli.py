@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import etfkit as ek
 from etfkit import cli
+from etfkit.classify import _SliceTable
 
 
 def run(args):
@@ -198,6 +200,50 @@ def test_verify_triple_fails_off_composite(tmp_path):
     assert run(["verify", path, "--check", "triple", "--seed", 1, "--out-dir", tmp_path]) == 1
     report = json.loads((tmp_path / "verify_triple.report.json").read_text())
     assert report["note"].startswith("input is not composite")
+
+
+def _counting_certifications(monkeypatch):
+    """Count every ``certify_difference_set`` call, whichever module binds it."""
+    calls = []
+    certify = ek.certify_difference_set
+
+    def counting(D):
+        calls.append(D)
+        return certify(D)
+
+    for module in ("etfkit.designs", "etfkit.classify"):
+        monkeypatch.setattr(importlib.import_module(module), "certify_difference_set", counting)
+    return calls
+
+
+@pytest.mark.parametrize("elements, code", [([6, 11, 7, 12, 13, 3, 9, 14], 0), ([1, 2, 3], 2)])
+def test_verify_triple_without_subgroup_certifies_once(tmp_path, capsys, monkeypatch, elements,
+                                                       code):
+    path = tmp_path / "set.json"
+    cli.write_set(path, ek.cyclic_subset(15, elements))
+    calls = _counting_certifications(monkeypatch)
+    assert run(["verify", path, "--check", "triple", "--out-dir", tmp_path]) == code
+    assert len(calls) == 1
+    if code == 2:
+        assert capsys.readouterr().err == "error: set is not fine and no subgroup was supplied\n"
+
+
+def test_verify_triple_on_the_whole_group_exits_2(tmp_path, capsys):
+    D = ek.cyclic_subset(7, [1, 2, 4])
+    path = tmp_path / "z7.json"
+    cli.write_set(path, D, ek.Subgroup.full(D.group))
+    assert run(["verify", path, "--check", "triple", "--out-dir", tmp_path]) == 2
+    assert capsys.readouterr().err == "error: H must be a proper subgroup\n"
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(self):
+        raise MemoryError()
+
+    monkeypatch.setattr(_SliceTable, "h_add", property(exhausted))
+    path = _write_z15(tmp_path)
+    assert run(["verify", path, "--check", "triple", "--out-dir", tmp_path]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_verify_conference_on_tpp11(tmp_path):

@@ -260,6 +260,29 @@ def test_annihilator_pairs_characters_with_a_generating_set_only(monkeypatch):
         assert len(columns) == 1 and 2 ** columns[0] <= H.order
 
 
+@pytest.mark.parametrize("orders, generator", [([2**16], (2,)), ([2] * 16, None)])
+def test_subgroup_closure_sums_n_log_n_pairs(monkeypatch, orders, generator):
+    # a subgroup of order 2^15: all its pair sums would be 2^30
+    g = ek.group_new(orders)
+    if generator is None:
+        els = tuple(x for x in g.elements if x[0] == 0)
+    else:
+        els = tuple((2 * i,) for i in range(2**15))
+    pairs = []
+    sum_indices = ek.AbelianGroup._sum_indices
+
+    def recording(self, a, b):
+        out = sum_indices(self, a, b)
+        pairs.append(out.size)
+        return out
+
+    monkeypatch.setattr(ek.AbelianGroup, "_sum_indices", recording)
+    H = ek.Subgroup(g, els)
+    assert H.order == 2**15 and sum(pairs) <= 15 * 2**15
+    assert len(H._generators) == (1 if generator else 15)
+    assert generator is None or H._generators == (generator,)
+
+
 def test_coset_character_sum_vanishes():
     # sum of gamma over coset representatives is zero for nontrivial gamma in
     # the annihilator

@@ -1,10 +1,11 @@
-"""The fusion-frame checks read from the slice-spectrum table, against the
-dense pairwise references in conftest."""
+"""The fusion-frame checks, fineness and the amalgam certificate read from
+the coset-slice table, against the dense references in conftest."""
 
 import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import etfkit as ek
 from etfkit import cli, frames
+from etfkit.classify import _SliceTable
 from etfkit.groups import VerdictDisagreement
 
-from conftest import reference_ectff, reference_eitff, reference_etf, reference_triple_product
+from conftest import (
+    reference_ectff, reference_eitff, reference_etf, reference_fine_fourier, reference_is_amalgam,
+    reference_triple_product,
+)
 
 
 def _outcome(check):
@@ -71,7 +76,15 @@ def _first_slice(D, H):
     return ek.compute_Dg(D, H, rep)
 
 
+def _assert_table_agrees(D, H):
+    """Amalgam and fineness verdicts from the slice table, against the
+    references over all of G."""
+    assert _outcome(lambda: ek.is_amalgam(D, H)) == _outcome(lambda: reference_is_amalgam(D, H))
+    assert (_SliceTable(D, H).not_fine is None) == reference_fine_fourier(D, H)
+
+
 def _assert_all_checks_agree(D, H, B):
+    _assert_table_agrees(D, H)
     for check, reference in ((ek.ectff_check, reference_ectff), (ek.eitff_check, reference_eitff)):
         _assert_fusion_reports_agree(_outcome(lambda: check(D, H)), _outcome(lambda: reference(D, H)))
     _assert_triple_reports_agree(
@@ -131,6 +144,8 @@ def fine_subsets(draw):
 def test_random_fine_subsets_match_the_dense_references(case, slice_as_b):
     D, H, B = case
     _assert_all_checks_agree(D, H, _first_slice(D, H) if slice_as_b else B)
+    # toggling B's points changes the count of one coset: mostly not fine
+    _assert_table_agrees(ek.subset(D.group, set(D.elements) ^ set(B.elements)), H)
     got, want = _verify_etf(D), reference_etf(D)
     assert got["passed"] == want["passed"]
     assert abs(got["coherence"] - want["coherence"]) <= 1e-12
@@ -191,3 +206,21 @@ def test_triple_product_rejects_b_across_cosets(z15_D, z15_H):
         ek.triple_product_check(z15_D, z15_H, None, ek.cyclic_subset(15, [1, 2]))
     # a translate of a slice into any one coset is accepted
     assert ek.triple_product_check(z15_D, z15_H, None, ek.cyclic_subset(15, [6, 11])).passed
+
+
+def _peak_bytes(check, *args):
+    tracemalloc.start()
+    try:
+        check(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", [ek.ectff_check, ek.eitff_check])
+def test_fusion_checks_build_no_square_table_on_large_h(check):
+    # S = 1: H has order 2048 and an n x n int64 table would take 32 MiB
+    D = ek.cyclic_subset(4096, [1])
+    H = ek.is_fine(D)
+    assert H.order == 2048 and check(D, H).passed
+    assert _peak_bytes(check, D, H) < 16 * 2**20
