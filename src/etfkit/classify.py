@@ -15,12 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import _complex_roots
+from .cyclotomic import _root_array
 from .designs import GroupSubset, certify_difference_set, non_ds_witness, welch_integer_S
-from .groups import (
-    _PAIR_CHUNK, Element, Subgroup, VerdictDisagreement, _subgroup_sets, _sum_counts, convolve,
-    dft_numeric,
-)
+from .groups import _PAIR_CHUNK, Element, Subgroup, VerdictDisagreement, _subgroup_sets, _sum_counts
 
 
 class _SliceTable:
@@ -33,14 +30,14 @@ class _SliceTable:
     def __init__(self, D: GroupSubset, H: Subgroup) -> None:
         G = D.group
         self.D, self.H, self.s = D, H, G.order // H.order - 1
-        self.reps = tuple(g for g, _ in H.cosets)
+        self.reps = tuple(G._elements_at(H._coset_positions()[:, 0]))
         self.h_rows = G._residues(H.elements)
         self.h_index = self.h_rows @ G.strides  # ascending
-        in_d = np.zeros(G.order, dtype=bool)
-        in_d[G.indices(D._rows)] = True
+        self.in_d = np.zeros(G.order, dtype=bool)
+        self.in_d[G.indices(D._rows)] = True
         self.hits = np.empty((len(self.reps), H.order), dtype=bool)
         for r, c, positions in G._pair_blocks(G._residues(self.reps), self.h_rows):
-            self.hits[r, c] = in_d[positions]
+            self.hits[r, c] = self.in_d[positions]
         self.sizes = self.hits.sum(axis=1)
 
     @cached_property
@@ -67,14 +64,24 @@ class _SliceTable:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """(S+1) x n int64: at (a, u), the pairs (x, y) of Y_a with x - y =
-        h_u, in blocks of at most ``_PAIR_CHUNK`` pairs."""
-        G, out = self.D.group, np.zeros(self.hits.shape, dtype=np.int64)
+        """(S+1) x n int64: at (a, u), the pairs (x, y) of Y_a with x - y = h_u."""
+        return self.cross_counts(None)
+
+    def cross_counts(self, rows) -> np.ndarray:
+        """(S+1) x n int64: at (a, u), the pairs (x, y) of Y_a and the residue
+        ``rows`` (Y_a itself for None) with x - y = h_u, in blocks of at most
+        ``_PAIR_CHUNK`` pairs; x - y lies in H when ``rows`` does."""
+        G, out, h_at = self.D.group, np.zeros(self.hits.shape, dtype=np.int64), self.h_at()
         for a in np.flatnonzero(self.sizes):
             y = self.h_rows[self.hits[a]]
-            for _, _, positions in G._pair_blocks(y, -y % G.cyclic_orders):
-                at = np.searchsorted(self.h_index, positions.ravel())
-                out[a] += np.bincount(at, minlength=self.H.order)
+            other = y if rows is None else rows
+            for _, _, positions in G._pair_blocks(y, -other % G.cyclic_orders):
+                out[a] += np.bincount(h_at[positions.ravel()], minlength=self.H.order)
+        return out
+
+    def h_at(self) -> np.ndarray:  # at each G-position of H, its position in H.elements
+        out = np.zeros(self.D.group.order, dtype=np.int64)
+        out[self.h_index] = np.arange(self.H.order)
         return out
 
     def is_difference_set(self, a: int) -> bool:
@@ -102,7 +109,7 @@ class _SliceTable:
 
     @cached_property
     def labels(self) -> tuple:  # annihilator coset representatives: on H, the eta_k
-        return tuple(g for g, _ in self.H.annihilator().cosets)
+        return tuple(self.D.group._elements_at(self.H.annihilator()._coset_positions()[:, 0]))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -113,27 +120,29 @@ class _SliceTable:
         (gamma' - gamma)(r_a) F_a(eta), eta the restriction of gamma' - gamma."""
         G = self.D.group
         met = np.flatnonzero(self.hits.any(axis=0))
-        y, roots = self.hits[:, met].astype(np.int64), np.array(_complex_roots(G.exponent))
+        y, roots = self.hits[:, met].astype(complex), _root_array(G.exponent)
         step = max(1, _PAIR_CHUNK // max(1, len(met)))
-        return np.hstack([y @ roots[G._pair_exponents(self.labels[i:i + step], self.h_rows[met])].T
-                          for i in range(0, len(self.labels), step)])
+        out = np.empty((len(y), len(self.labels)), dtype=complex)
+        for i in range(0, len(self.labels), step):
+            np.matmul(y, roots[G._pair_exponents(self.labels[i:i + step], self.h_rows[met])].T,
+                      out=out[:, i:i + step])
+        return out
 
     @cached_property
     def h_add(self) -> np.ndarray:  # position of h_i + h_j
-        return np.searchsorted(self.h_index, self.D.group._sum_indices(self.h_rows, self.h_rows))
+        return self.h_at()[self.D.group._sum_indices(self.h_rows, self.h_rows)]
 
     @cached_property
     def eta_add(self) -> np.ndarray:  # index of eta_i + eta_j
-        G = self.D.group
+        G, cosets = self.D.group, self.H.annihilator()._coset_positions()
         coset_of = np.empty(G.order, dtype=np.int64)
-        for k, (_, members) in enumerate(self.H.annihilator().cosets):
-            coset_of[G.indices(members)] = k
+        coset_of[cosets] = np.arange(len(cosets))[:, None]
         return coset_of[G._sum_indices(self.labels, self.labels)]
 
     @cached_property
     def chars(self) -> np.ndarray:  # eta_k(h_j)
         G = self.D.group
-        return np.array(_complex_roots(G.exponent))[G._pair_exponents(self.labels, self.h_rows)]
+        return _root_array(G.exponent)[G._pair_exponents(self.labels, self.h_rows)]
 
 
 def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
@@ -176,7 +185,7 @@ def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> _SliceTable | None:
     # so by Fourier inversion there (iii) is (ii), the DFT of chi_D equal to
     # -|D|/S on the nontrivial annihilator; the floats cross-check it
     ann = G.indices(t.H.annihilator().elements[1:])  # [0] is the trivial character
-    spectrum = dft_numeric(D.indicator())[ann]
+    spectrum = np.fft.fftn(t.in_d.reshape(G.cyclic_orders)).ravel()[ann]
     if (np.abs(spectrum + D.size / s).max(initial=0.0) <= 1e-9 * D.size) != (t.not_fine is None):
         raise VerdictDisagreement("fineness Fourier condition disagrees with the coset slice sizes")
     if t.not_fine is not None:
@@ -226,26 +235,25 @@ def is_composite(D: GroupSubset, H: Subgroup) -> tuple[GroupSubset, GroupSubset]
 def _is_composite(t: _SliceTable):
     """``is_composite`` on the slice table of D and H.
 
-    The slice D_a contains B exactly when a + B lies in D, that is when a is
-    a sum of D and -B |B| times; it is B when also |D_a| = |B|, and |D_a| is
-    the same across a coset, since D_{g+h} = D_g - h.
+    The slice D_a contains B exactly when a + B lies in D; it is B when
+    also |D_a| = |B|, and |D_a| is the same across a coset, since D_{g+h} =
+    D_g - h.  For a = r_a + h_u that is D_a = Y_a - h_u, so D_a contains B
+    when the pairs of Y_a and B with difference h_u number |B|.
     """
-    D, H = t.D, t.H
-    G = D.group
+    G = t.D.group
     nontrivial = t.reps[1:]
     if not nontrivial:
         return None
     B = t.slices[nontrivial[0]]
     if B.size == 0 or (t.sizes[1:] != B.size).any() or not t.is_difference_set(1):
         return None
-    contains_b = _sum_counts(G, D._rows, -B._rows % G.cyclic_orders) == B.size
-    least = {}  # coset representative -> least a in the coset with D_a = B
-    for a in G._elements_at(np.flatnonzero(contains_b)):
-        least.setdefault(H.coset_rep[a], a)
-    if any(g not in least for g in nontrivial):
+    row, u = np.nonzero(t.cross_counts(B._rows) == B.size)
+    least = np.full(len(t.reps), G.order)  # per coset, the least a with D_a = B
+    np.minimum.at(least, row, (G._residues(t.reps)[row] + t.h_rows[u]) % G.cyclic_orders @ G.strides)
+    if (least[1:] == G.order).any():
         return None
-    A = GroupSubset(G, tuple(least[g] for g in nontrivial))
-    if convolve(A.indicator(), B.indicator()) != D.indicator():
+    A = GroupSubset(G, tuple(G._elements_at(least[1:])))
+    if not np.array_equal(_sum_counts(G, A._rows, B._rows), t.in_d):
         raise AssertionError("translate matching succeeded but convolution disagrees")
     return A, B
 
@@ -369,5 +377,5 @@ def _appendix_counting_identity(lam: int, t: _SliceTable) -> None:
     total = int((t.sizes * (t.sizes - 1)).sum())
     if (t.H.order - 1) * lam != total:
         raise AssertionError(
-            f"slice counting identity failed: {(H.order - 1) * lam} != {total}"
+            f"slice counting identity failed: {(t.H.order - 1) * lam} != {total}"
         )

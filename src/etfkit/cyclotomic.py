@@ -53,7 +53,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _complex_roots(modulus: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * cmath.pi * e / modulus) for e in range(modulus))
+    return tuple(_root_array(modulus).tolist())
+
+
+@lru_cache(maxsize=None)
+def _root_array(modulus: int) -> np.ndarray:
+    """exp(2 pi i e / modulus) for e < modulus, as a read-only complex array."""
+    out = np.fromiter((cmath.exp(2j * cmath.pi * e / modulus) for e in range(modulus)), complex, modulus)
+    out.flags.writeable = False
+    return out
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

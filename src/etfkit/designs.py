@@ -195,8 +195,9 @@ def welch_integer_S(d: int, g: int) -> int | None:
 
 
 def complement(D: GroupSubset) -> GroupSubset:
-    outside = np.setdiff1d(np.arange(D.group.order), D.group.indices(D._rows))
-    return GroupSubset(D.group, tuple(D.group._elements_at(outside)))
+    outside = np.ones(D.group.order, dtype=bool)
+    outside[D.group.indices(D._rows)] = False
+    return GroupSubset(D.group, tuple(D.group._elements_at(np.flatnonzero(outside))))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,9 @@ def _trace_is_one(F: FiniteField, sub_degree: int) -> np.ndarray:
 
 def _log_subset(G: AbelianGroup, logs: np.ndarray) -> GroupSubset:
     """The subset of the cyclic group G of the residues of the given logs."""
-    return GroupSubset(G, tuple((v,) for v in np.unique(logs % G.order).tolist()))
+    member = np.zeros(G.order, dtype=bool)
+    member[logs % G.order] = True
+    return GroupSubset(G, tuple((v,) for v in np.flatnonzero(member).tolist()))
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,8 @@ def triple_product_check(
     sqrt(S/D) g(b) on B, which must lie in one coset of H.  Their moduli
     must be 1 for equal characters and 1/sqrt(S) else.  Fails (reported,
     not raised) off composite inputs.  ``A``, ``seed`` and ``max_triples``
-    have no effect: every triple is checked.
+    have no effect, since every triple is checked; they are kept so that
+    existing calls keep working (API stability).
 
     Entry a of the product is (S/|D|)^3 F_a(eta1) F_a(eta2) F_a(-eta1 -
     eta2), the 2-D Fourier transform of the triple correlation T(h1, h2) =

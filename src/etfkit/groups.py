@@ -25,6 +25,14 @@ Character = tuple[int, ...]
 _PAIR_CHUNK = 1 << 20
 # group-order cap: a dense int64 vector over the group stays within 128 MB
 _MAX_GROUP_ORDER = 1 << 24
+# the number-theoretic transform of ``_ntt_counts``: p = 7 * 2^26 + 1 has
+# primitive root 3 and 2^26-th roots of unity, and a product of two residues
+# is below 2^58, so int64 arithmetic is exact (Pollard, Math. Comp. 25, 1971)
+_NTT_PRIME, _NTT_ROOT, _NTT_MAX_LENGTH = 469762049, 3, 1 << 26
+# cost model of ``_sum_counts``: the transform of length L costs about as
+# much as _NTT_COST L log2 L pairs plus a fixed _NTT_OVERHEAD pairs (its 20-odd
+# numpy calls per step), calibrated on a 2-vCPU x86 host
+_NTT_COST, _NTT_OVERHEAD = 2, 1 << 15
 
 
 class SearchCapExceeded(RuntimeError):
@@ -250,7 +258,14 @@ def _sum_counts(G: AbelianGroup, a: np.ndarray, b: np.ndarray, weights=None) -> 
     """Dense int64 vector over enumeration positions of the sum of
     w_a(x) w_b(y) at x + y, over x in a and y in b (residue row arrays);
     ``weights`` is the pair (w_a, w_b) of int64 arrays, or None for ones.
-    Work is O(|a| |b|), memory O(G) plus one block of pairs, never O(G^2)."""
+    Exact either way: by ``_ntt_counts`` in O(L log L) when it is exact and
+    its cost model beats the pairs, else in blocks of pairs, O(|a| |b|) work
+    and memory O(G) plus one block, never O(G^2)."""
+    length = prod(_ntt_shape(G))
+    if len(a) * len(b) > _NTT_COST * length * (length.bit_length() - 1) + _NTT_OVERHEAD:
+        counts = _ntt_counts(G, a, b, weights)
+        if counts is not None:
+            return counts
     out = np.zeros(G.order, dtype=np.int64)
     for r, c, positions in G._pair_blocks(a, b):
         if weights is None:
@@ -258,6 +273,106 @@ def _sum_counts(G: AbelianGroup, a: np.ndarray, b: np.ndarray, weights=None) -> 
         else:
             np.add.at(out, positions.ravel(), np.outer(weights[0][r], weights[1][c]).ravel())
     return out
+
+
+def _ntt_shape(G: AbelianGroup) -> tuple[int, ...]:
+    """Transform length per cyclic factor: n_k itself when it is a power of
+    two (a cyclic transform), else the power of two at or above 2 n_k - 1 (a
+    linear one, folded back mod n_k)."""
+    return tuple([n if n & (n - 1) == 0 else 1 << (2 * n - 2).bit_length() for n in G.cyclic_orders])
+
+
+def _ntt_counts(G: AbelianGroup, a: np.ndarray, b: np.ndarray, weights=None) -> np.ndarray | None:
+    """``_sum_counts`` by one number-theoretic transform mod ``_NTT_PRIME``
+    along each cyclic factor, or None when its length L passes 2^26 or a
+    count might reach p/2.  With the rows of a and of b distinct, as every
+    caller's are, each point has at most one partner per sum, so |count| <=
+    min(sum|w_a| max|w_b|, max|w_a| sum|w_b|); residues above p/2 are the
+    negatives.  The three L-long rows and the tables of the longest axis
+    are allocated before the first count, so that count is the peak."""
+    p, half, shape = _NTT_PRIME, _NTT_PRIME // 2, _ntt_shape(G)
+    if weights is None:
+        bound = min(len(a), len(b))
+    else:
+        ends = [(sum(map(abs, w.tolist())), max(map(abs, w.tolist()), default=0)) for w in weights]
+        bound = min(ends[0][0] * ends[1][1], ends[0][1] * ends[1][0])
+    if prod(shape) > _NTT_MAX_LENGTH or bound > half:
+        return None
+    strides = np.array([prod(shape[k + 1:]) for k in range(len(shape))])
+    xa, xb, spare = np.empty((3, prod(shape)), dtype=np.int64)
+    roots, twiddles = np.empty((2, max(shape)), dtype=np.int64)
+    for x, rows, w in zip((xa, xb), (a, b), weights or (None, None)):
+        at = np.asarray(rows, dtype=np.int64).reshape(-1, len(shape)) @ strides
+        if w is None:
+            x[:] = np.bincount(at, minlength=x.size)
+        else:
+            x.fill(0)
+            np.add.at(x, at, w % p)
+    _fill_roots(roots, inverse=False)
+    for x in (xa, xb):
+        x %= p
+        _ntt(x, shape, spare, roots, twiddles, inverse=False)
+    xa *= xb
+    xa %= p
+    xa *= pow(xa.size, -1, p)
+    xa %= p
+    _fill_roots(roots, inverse=True)
+    _ntt(xa, shape, spare, roots, twiddles, inverse=True)
+    np.subtract(xa, p, out=xa, where=xa > half)
+    out = xa.reshape(shape)
+    for k, n in enumerate(G.cyclic_orders):
+        if shape[k] != n:  # fold the linear convolution back mod n
+            lead = (slice(None),) * k
+            out[lead + (slice(n - 1),)] += out[lead + (slice(n, 2 * n - 1),)]
+            out = out[lead + (slice(n),)]
+    return np.ascontiguousarray(out).reshape(-1)
+
+
+def _fill_roots(roots: np.ndarray, inverse: bool) -> None:
+    """roots[j] = w^j for the primitive len(roots)-th root of unity w mod
+    ``_NTT_PRIME`` (its inverse for ``inverse``), by doubling in place."""
+    p, top, m = _NTT_PRIME, len(roots), 1
+    root = pow(_NTT_ROOT, (p - 1) // top * (top - 1 if inverse else 1), p)
+    roots[0] = 1
+    while m < top:
+        np.multiply(roots[:m], pow(root, m, p), out=roots[m:2 * m])
+        np.remainder(roots[m:2 * m], p, out=roots[m:2 * m])
+        m *= 2
+
+
+def _ntt(x: np.ndarray, shape: tuple, spare: np.ndarray, roots: np.ndarray, twiddles: np.ndarray,
+         inverse: bool) -> None:
+    """Transform mod ``_NTT_PRIME`` of the flat C-order array x of the given
+    power-of-two shape along every axis, in place, from the powers ``roots``
+    of a root of unity of order len(roots).  An axis of length n goes in
+    radix-16 steps (Gentleman-Sande): a 16-point DFT across the blocks as an
+    int64 matmul into ``spare`` (sums of 16 products stay below 2^62), then
+    the twiddles, copied into ``twiddles`` from strided views of the roots.
+    The forward transform leaves each axis in digit-reversed order; the
+    inverse one undoes it from that order, unscaled."""
+    p, top, src, dst = _NTT_PRIME, len(roots), x, spare
+    for k, n in enumerate(shape):
+        post = prod(shape[k + 1:])
+        steps = [(n >> 4 * t, min(16, n >> 4 * t)) for t in range((n.bit_length() + 2) // 4)]
+        for n, r in steps[::-1] if inverse else steps:
+            i, m = np.arange(r * r), n // r
+            dft = roots[i // r * (i % r) % r * (top // r)].reshape(r, r)
+            twiddle = twiddles[:n].reshape(r, m)  # at (k1, j2): the n-th root to the power k1 j2
+            twiddle[0] = 1
+            for k1 in range(1, r):
+                twiddle[k1] = roots[:k1 * m * (top // n):k1 * (top // n)]
+            blocks, rows = (-1, r, m, post), (-1, r, m * post)
+            if inverse and n > r:
+                np.multiply(src.reshape(blocks), twiddle.reshape(r, m, 1), out=src.reshape(blocks))
+                src %= p
+            np.matmul(dft, src.reshape(rows), out=dst.reshape(rows))
+            dst %= p
+            if not inverse and n > r:
+                np.multiply(dst.reshape(blocks), twiddle.reshape(r, m, 1), out=dst.reshape(blocks))
+                dst %= p
+            src, dst = dst, src
+    if src is not x:
+        x[...] = src
 
 
 def dft(x: IntVector) -> dict[Character, Cyclotomic]:
@@ -347,23 +462,33 @@ class Subgroup:
     @cached_property
     def cosets(self) -> tuple[tuple[Element, tuple[Element, ...]], ...]:
         """Disjoint cosets as (representative, elements); reps are lex-minimal."""
-        out = []
-        seen = set()
-        for g in self.group.elements:
-            if g in seen:
-                continue
-            members = tuple(sorted(self.group.add(g, h) for h in self.elements))
-            seen.update(members)
-            out.append((g, members))
-        return tuple(out)
+        n, els = self.order, self.group._elements_at(self._coset_positions().reshape(-1))
+        return tuple((els[i], tuple(els[i:i + n])) for i in range(0, len(els), n))
+
+    def _coset_positions(self) -> np.ndarray:
+        """The positions of the cosets, one ascending row each, rows ordered
+        by their first (least) position.  g and g' share a coset exactly
+        when g V and g' V agree mod the Smith diagonal of the relations (the
+        cyclic orders and the generators), so one stable sort of that label
+        lists each coset's positions together, in ascending order."""
+        G, k = self.group, len(self.group.cyclic_orders)
+        relations = [[n if j == i else 0 for j in range(k)] for i, n in enumerate(G.cyclic_orders)]
+        diag, v = _smith_diagonal(relations + [list(g) for g in self._generators], k)
+        label = np.zeros((), dtype=np.int64)
+        for d, column in zip(diag, zip(*v)):
+            y = np.zeros((), dtype=np.int64)  # (g V)_j mod d over all g, one factor at a time
+            for n, c in zip(G.cyclic_orders, column):
+                y = (y[..., None] + np.arange(n) * (c % d)) % d
+            label = label * d + y
+        label = label.reshape(-1)
+        order = np.argsort(label, kind="stable").reshape(-1, self.order)
+        if (label[order] != label[order[:, :1]]).any():
+            raise AssertionError("a coset label is not constant on a coset")
+        return order[np.argsort(order[:, 0])]
 
     @cached_property
     def coset_rep(self) -> dict:
-        rep = {}
-        for r, members in self.cosets:
-            for g in members:
-                rep[g] = r
-        return rep
+        return {g: r for r, members in self.cosets for g in members}
 
     def annihilator(self) -> "Subgroup":
         """Characters trivial on this subgroup, as a Subgroup of the dual."""
@@ -373,8 +498,9 @@ class Subgroup:
     def _annihilator(self) -> "Subgroup":
         # a character trivial on a generating set is trivial on the subgroup
         G = self.group
-        trivial = (G._pair_exponents(G.characters, self._generators) == 0).all(axis=1)
-        out = Subgroup(G, tuple(chi for chi, t in zip(G.characters, trivial) if t))
+        characters = np.stack(np.unravel_index(np.arange(G.order), G.cyclic_orders), axis=1)
+        trivial = (G._pair_exponents(characters, self._generators) == 0).all(axis=1)
+        out = Subgroup(G, tuple(G._elements_at(np.flatnonzero(trivial))))
         if out.order * self.order != G.order:
             raise AssertionError(f"annihilator of order {out.order} for a subgroup of {self.order}")
         return out
@@ -533,7 +659,8 @@ def _subgroup_sets(group: AbelianGroup, order: int, cap: int, avoid=()) -> list[
     """
     blocked = frozenset(avoid)
     if group.is_cyclic:
-        gen = next(g for g in group.elements if group.element_order(g) == group.order)
+        gen = next(g for g in product(*map(range, group.cyclic_orders))
+                   if group.element_order(g) == group.order)
         subs = [_closure_with(group, {group.zero}, group.scale(group.order // d, gen))
                 for d in range(1, order + 1) if order % d == 0]
         return [els for els in subs if blocked.isdisjoint(els)]

@@ -17,7 +17,7 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _complex_roots, _reduce, _terms, rational_sqrt
+from .cyclotomic import Cyclotomic, _complex_roots, _reduce, _root_array, _terms, rational_sqrt
 
 # a product keeps its exact form while it pairs at most this many terms
 _EXACT_WORK_LIMIT = 50000
@@ -192,7 +192,7 @@ def _matrix(row_labels, col_labels, exact: ExactForm, roots=None) -> ComplexMatr
     times the scale.  ``roots`` are the terms' float roots when they were
     read at another modulus than ``exact.modulus``."""
     if roots is None:
-        roots = np.array(_complex_roots(exact.modulus))[exact.exp]
+        roots = _root_array(exact.modulus)[exact.exp]
     values = np.zeros(exact.shape[0] * exact.shape[1], dtype=np.complex128)
     np.add.at(values, exact.cell, (exact.num / exact.den).astype(np.float64) * roots)
     values = values.reshape(exact.shape) * math.sqrt(float(exact.scale_sq))

@@ -168,6 +168,33 @@ def reference_convolve(x, y):
 
 
 # ---------------------------------------------------------------------------
+# the pair-block sums that ``groups._ntt_counts`` replaces on large counts,
+# and the loop of additions that the coset labelling of ``Subgroup`` replaced
+
+
+def reference_pair_counts(G, a, b, weights=None):
+    """``_sum_counts`` over blocks of pairs: w_a(x) w_b(y) added at x + y."""
+    out = np.zeros(G.order, dtype=np.int64)
+    for r, c, positions in G._pair_blocks(np.asarray(a), np.asarray(b)):
+        w = 1 if weights is None else np.outer(weights[0][r], weights[1][c]).ravel()
+        np.add.at(out, positions.ravel(), w)
+    return out
+
+
+def reference_cosets(H):
+    """(representative, sorted members) per coset, from a pass over G that
+    adds H to every element not yet covered."""
+    out, seen = [], set()
+    for g in H.group.elements:
+        if g in seen:
+            continue
+        members = tuple(sorted(H.group.add(g, h) for h in H.elements))
+        seen.update(members)
+        out.append((g, members))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # the cell-by-cell matrix algebra that the term layout of ``ExactForm``
 # replaced: cells are rows of ``Cyclotomic`` values, the matrix is
 # sqrt(scale_sq) times them

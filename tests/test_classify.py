@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -11,7 +12,8 @@ from unittest.mock import patch
 import pytest
 
 import etfkit as ek
-from etfkit import groups
+from etfkit import cli, groups
+from etfkit.classify import _SliceTable, _appendix_counting_identity
 
 
 def test_compute_Dg_examples(z15_D, z15_H):
@@ -167,6 +169,30 @@ def test_counting_identity_on_fine_instances():
         H = cert.fine_subgroup
         total = sum(s.size * (s.size - 1) for s in cert.dg_table.values())
         assert (H.order - 1) * cert.lam == total
+
+
+def test_counting_identity_failure_reports_both_sides():
+    # Singer (2, 2): H of order 3 and four slices of two points, so the
+    # identity reads 2 Lambda = 8; a wrong Lambda of 99 gives 198
+    fam = ek.singer_complement(2, 2)
+    with pytest.raises(AssertionError, match=r"slice counting identity failed: 198 != 8$"):
+        _appendix_counting_identity(99, _SliceTable(fam.D, fam.H))
+
+
+def test_small_counts_stay_on_the_pair_blocks(monkeypatch, tmp_path):
+    # McFarland (2, 3) and tpp 17 count at most 26,244 pairs: below the cost
+    # rule of the transform, so a transform that refuses to run is not called
+    D = ek.mcfarland(2, 3).D
+    tpp = ek.tpp_complement(17)
+    cli.write_set(tmp_path / "tpp17.json", tpp.D, tpp.H)
+
+    def refuse(*args):
+        raise AssertionError("a transform for a small count")
+
+    monkeypatch.setattr(groups, "_ntt_counts", refuse)
+    assert ek.classify(D).is_fine
+    assert cli.main(["classify", str(tmp_path / "tpp17.json"), "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "classify.report.json").read_text())["certificate"]["is_fine"]
 
 
 def test_disjoint_subgroup_bound_exhaustive():

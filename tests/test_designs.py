@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +322,24 @@ def test_display_order_is_preserved_and_optional():
     assert D.elements == ((6,), (7,), (11,))
     with pytest.raises(ValueError):
         ek.cyclic_subset(15, [6, 11], display_order=[6, 12])
+
+
+def test_large_certification_takes_the_transform(monkeypatch):
+    # Singer (2, 6): |D| = 2048 in Z_4095, 4M pairs, past the cost rule
+    D = ek.singer_complement(2, 6).D
+
+    def refuse(*args):
+        raise AssertionError("pair blocks for a 4M-pair count")
+
+    monkeypatch.setattr(ek.AbelianGroup, "_pair_blocks", refuse)
+    assert ek.certify_difference_set(D) == D.size * (D.size - 1) // (D.group.order - 1)
+
+
+def test_family_construction_leaves_numpy_ma_unimported():
+    # numpy's unique and setdiff1d import numpy.ma on first use
+    code = ("import sys, etfkit as ek; ek.singer_complement(2, 2); ek.simplicial_rds_quadratic(5); "
+            "ek.complement(ek.tpp_complement(5).D); print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(ek.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

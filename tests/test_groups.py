@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import etfkit as ek
+from etfkit import groups
 from etfkit.cyclotomic import Cyclotomic
-from etfkit.groups import IntVector
+from etfkit.groups import IntVector, _NTT_PRIME, _ntt_counts
 
-from conftest import oracle_annihilator, oracle_dft_value
+from conftest import (
+    oracle_annihilator,
+    oracle_dft_value,
+    oracle_difference_counts,
+    reference_cosets,
+    reference_pair_counts,
+)
 
 
 def test_group_new_examples():
@@ -303,3 +311,125 @@ def test_element_order_and_scale():
     assert g.element_order((2, 3)) == 2
     assert g.element_order((1, 1)) == 12
     assert g.scale(5, (1, 1)) == (1, 5)
+
+
+# ---------------------------------------------------------------------------
+# difference counts by the number-theoretic transform
+
+# cyclic, mixed-radix and power-of-two axes: Z_2^k and Z_2^m go unpadded
+NTT_ORDERS = [(7,), (12,), (16,), (2,) * 5, (8, 2), (2, 3, 4), (5, 5), (4, 9), (1, 6), (2, 2, 8, 3)]
+
+
+@st.composite
+def ntt_operands(draw):
+    """A group, two residue row arrays without repeats, and signed weights
+    or None."""
+    g = ek.group_new(draw(st.sampled_from(NTT_ORDERS)))
+
+    def rows():
+        positions = draw(st.lists(st.integers(0, g.order - 1), unique=True, max_size=g.order))
+        return np.array(g._elements_at(positions), dtype=np.int64).reshape(-1, len(g.cyclic_orders))
+
+    a, b = rows(), rows()
+    if not draw(st.booleans()):
+        return g, a, b, None
+    weights = tuple(np.array(draw(st.lists(st.integers(-1000, 1000), min_size=len(x), max_size=len(x))),
+                             dtype=np.int64) for x in (a, b))
+    return g, a, b, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(ntt_operands())
+def test_ntt_counts_match_the_pair_blocks(operands):
+    g, a, b, weights = operands
+    got = _ntt_counts(g, a, b, weights)
+    assert got is not None and got.dtype == np.int64
+    assert np.array_equal(got, reference_pair_counts(g, a, b, weights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ntt_operands())
+def test_ntt_difference_counts_match_the_oracle(operands):
+    g, a, _, _ = operands
+    els = [tuple(x) for x in a.tolist()]
+    want = oracle_difference_counts(g.cyclic_orders, els)
+    if els:
+        want[g.zero] = len(els)
+    got = _ntt_counts(g, a, -a % g.cyclic_orders)
+    assert IntVector._from_dense(g, got).values == want
+
+
+def _subgroup_rows(orders, generator):
+    g = ek.group_new(orders)
+    return g, np.array(ek.Subgroup.generated_by(g, [generator]).elements, dtype=np.int64)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ntt_counts_are_exact_just_under_half_the_prime(sign):
+    # four pairs meet at every point of H = <4> in Z_16 and of <(0, 1)> in
+    # Z_8 x Z_4, so each count there is 4 w, just under p/2 (the bound)
+    for orders, generator in (((16,), (4,)), ((8, 4), (0, 1))):
+        g, h = _subgroup_rows(orders, generator)
+        w = _NTT_PRIME // 2 // 4
+        weights = (np.full(4, sign * w, dtype=np.int64), np.ones(4, dtype=np.int64))
+        got = _ntt_counts(g, h, h, weights)
+        assert np.array_equal(got, reference_pair_counts(g, h, h, weights))
+        assert sorted(set(got.tolist())) == sorted({0, sign * 4 * w})
+
+
+def test_ntt_counts_fall_back_just_over_half_the_prime(monkeypatch):
+    g, h = _subgroup_rows((16,), (4,))
+    weights = (np.full(4, _NTT_PRIME // 2 // 4 + 1, dtype=np.int64), np.ones(4, dtype=np.int64))
+    assert _ntt_counts(g, h, h, weights) is None
+    # with the cost rule patched to try the transform, the pair blocks answer
+    monkeypatch.setattr(groups, "_NTT_COST", 0)
+    monkeypatch.setattr(groups, "_NTT_OVERHEAD", -1)
+    tried = []
+    monkeypatch.setattr(groups, "_ntt_counts", lambda *args: tried.append(args) or _ntt_counts(*args))
+    got = groups._sum_counts(g, h, h, weights)
+    assert tried and np.array_equal(got, reference_pair_counts(g, h, h, weights))
+    assert set(got.tolist()) == {0, 4 * weights[0][0]}
+
+
+def test_ntt_counts_refuse_a_transform_past_two_to_the_26():
+    # power-of-two factors go unpadded; 4095 pads to 8192, so Z_4095^2 is
+    # exactly 2^26 long, and Z_3^15 pads every factor to 8, far past it
+    assert groups._ntt_shape(ek.group_new([2] * 24)) == (2,) * 24
+    assert groups._ntt_shape(ek.group_new([2**24])) == (2**24,)
+    assert groups._ntt_shape(ek.group_new([4095, 4095])) == (8192, 8192)
+    g = ek.group_new([3] * 15)
+    one = np.zeros((1, 15), dtype=np.int64)
+    assert _ntt_counts(g, one, one) is None
+
+
+# ---------------------------------------------------------------------------
+# cosets from one coset labelling of G
+
+
+def _every_subgroup_and_annihilator(orders):
+    g = ek.group_new(orders)
+    for H in ek.all_subgroups(g):
+        yield H
+        yield H.annihilator()
+
+
+@pytest.mark.parametrize("orders", [(12,), (2, 4, 2), (3, 3)])
+def test_cosets_match_the_loop_of_additions(orders):
+    for H in _every_subgroup_and_annihilator(orders):
+        fresh = ek.Subgroup(H.group, H.elements)
+        want = reference_cosets(fresh)
+        assert fresh.cosets == want
+        assert fresh.coset_rep == {g: r for r, members in want for g in members}
+
+
+def test_cosets_of_tpp_q47_match_the_loop_of_additions():
+    fam = ek.tpp_complement(47)
+    for H in (fam.H, fam.H.annihilator()):
+        assert ek.Subgroup(H.group, H.elements).cosets == reference_cosets(H)
+
+
+def test_cosets_make_no_pass_of_additions(monkeypatch):
+    H = ek.tpp_complement(11).H
+    H = ek.Subgroup(H.group, H.elements)
+    monkeypatch.setattr(ek.AbelianGroup, "add", lambda *args: pytest.fail("a Python addition"))
+    assert len(H.cosets) == H.group.order // H.order and len(H.coset_rep) == H.group.order
