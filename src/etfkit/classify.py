@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .cyclotomic import _root_array
-from .designs import GroupSubset, certify_difference_set, non_ds_witness, welch_integer_S
-from .groups import _PAIR_CHUNK, Element, Subgroup, VerdictDisagreement, _subgroup_sets, _sum_counts
+from .designs import GroupSubset, _certificate, certify_difference_set, welch_integer_S
+from .groups import _PAIR_CHUNK, Element, Subgroup, VerdictDisagreement, _subgroup_search, _sum_counts
 
 
 class _SliceTable:
@@ -174,12 +174,12 @@ def _fine_subgroup(D: GroupSubset, s: int, cap: int) -> _SliceTable | None:
     if G.order % (s + 1):
         return None
     k = G.order // (s + 1)
-    # the walk never builds a subgroup that meets D; the first of order k is
-    # the lex-first disjoint one
-    els = next((els for els in _subgroup_sets(G, k, cap, D.elements) if len(els) == k), None)
-    if els is None:
+    in_d = np.zeros(G.order, dtype=bool)
+    in_d[D._rows @ G.strides] = True
+    found = _subgroup_search(G, k, cap, in_d, first=True)  # the lex-first one missing D
+    if not found:
         return None
-    t = _SliceTable(D, Subgroup(G, els))
+    t = _SliceTable(D, Subgroup(G, tuple(G._elements_at(found[0]))))
     # (iii), every coset off H meeting D in |D|/S points, decides.  On the
     # annihilator the DFT of chi_D is the DFT over G/H of the coset counts,
     # so by Fourier inversion there (iii) is (ii), the DFT of chi_D equal to
@@ -320,9 +320,8 @@ def classify(D: GroupSubset, cap: int = 10000) -> DesignCertificate:
     """Full pipeline: difference set -> integer S -> fine -> amalgam ->
     composite, each stage gated on the previous one."""
     G = D.group
-    lam = certify_difference_set(D)
+    lam, witness = _certificate(D)
     if lam is None:
-        witness = non_ds_witness(D) if D.size else None
         return DesignCertificate(
             D, False, None, None, None, None, False, None, {},
             not_ds_witness=witness,

@@ -118,30 +118,30 @@ def _difference_vector(D: GroupSubset) -> np.ndarray:
 def certify_difference_set(D: GroupSubset) -> int | None:
     """Lambda if D is a difference set (every nonzero element is a difference
     exactly Lambda times), else None."""
-    n = D.group.order
-    if D.size == 0:
-        return None
-    if n == 1:
-        return 0
-    num = D.size * (D.size - 1)
-    if num % (n - 1):
-        return None
-    lam = num // (n - 1)
-    # the counts off zero add up to Lambda (n - 1), so each occurring count
-    # is Lambda iff all n - 1 are
-    counts = _difference_vector(D)[1:]
-    return lam if (counts[counts != 0] == lam).all() else None
+    return _certificate(D, witness=False)[0]
 
 
 def non_ds_witness(D: GroupSubset) -> tuple[tuple, int, tuple, int] | None:
     """Two nonzero elements with differing difference counts, if any: the
     first with the least count and the first with the greatest."""
+    return _certificate(D)[1]
+
+
+def _certificate(D: GroupSubset, witness: bool = True) -> tuple[int | None, tuple | None]:
+    """(Lambda, None) for a difference set, else (None, ``non_ds_witness(D)``
+    or None without ``witness``), from at most one count vector."""
+    n, d = D.group.order, D.size
+    lam, rem = divmod(d * (d - 1), max(n - 1, 1))
+    if d == 0 or (rem and not witness):
+        return None, None
+    # the counts off zero add up to Lambda (n - 1), so each occurring count
+    # is Lambda iff all n - 1 are; unequal counts have a least and a greatest
     counts = _difference_vector(D)[1:]
-    if counts.size == 0 or counts.min() == counts.max():
-        return None
+    if not rem and (counts[counts != 0] == lam).all():
+        return lam, None
     i, j = int(np.argmin(counts)), int(np.argmax(counts))
     g1, g2 = D.group._elements_at([i + 1, j + 1])
-    return (g1, int(counts[i]), g2, int(counts[j]))
+    return None, (g1, int(counts[i]), g2, int(counts[j])) if witness else None
 
 
 def certify_rds(D: GroupSubset, H: Subgroup, tol: float = 1e-9) -> RdsParams | None:

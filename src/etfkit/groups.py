@@ -446,7 +446,11 @@ class Subgroup:
 
     @classmethod
     def generated_by(cls, group: AbelianGroup, generators) -> "Subgroup":
-        return cls(group, _closure(group, generators))
+        member, rows = _trivial(group)
+        for g in group._residues(list(generators)):  # raises on a non-element
+            rows = _join(group, member, rows, g)
+            member[rows @ group.strides] = True
+        return cls(group, tuple(group._elements_at(np.flatnonzero(member))))
 
     @property
     def order(self) -> int:
@@ -511,47 +515,20 @@ def _generating_set(G: AbelianGroup, rows: np.ndarray, positions: np.ndarray) ->
     ``rows`` and enumeration ``positions``, if it is a subgroup, else None.
     Each generator is the first element outside the span so far, and adds
     its multiples up to the first one back in it, so it at least doubles the
-    span: at most log2 |set| rounds.  No span may outgrow the set, so the set
-    is a subgroup exactly when the span comes to cover it."""
-    orders = np.array(G.cyclic_orders)
-    span = np.zeros(G.order, dtype=bool)
-    span[0] = True
-    span_rows, generators = rows[:1, None], []  # the identity leads every span
-    steps = np.arange(len(rows) + 1)[:, None]
+    span: at most log2 |set| rounds.  No span may outgrow the set (its order
+    must divide |set|), so the set is a subgroup exactly when the span comes
+    to cover it."""
+    (span, span_rows), generators = _trivial(G), []
     while True:
         inside = span[positions]
         i = inside.argmin()
         if inside[i]:
             return generators
-        grown = (span_rows + steps[:len(rows) // len(span_rows) + 1] * rows[i]) % orders
-        grown_at = np.dot(grown, G.strides)
-        back = span[grown_at[0, 1:]]  # the multiples of the new generator
-        t = back.argmax() + 1
-        if not back[t - 1]:
+        span_rows = _join(G, span, span_rows, rows[i], len(rows))
+        if span_rows is None:
             return None
-        span[grown_at[:, :t]] = True
-        span_rows = grown[:, :t].reshape(-1, 1, len(orders))
+        span[span_rows @ G.strides] = True
         generators.append(i)
-
-
-def _closure(group: AbelianGroup, generators) -> tuple:
-    members = (group.zero,)
-    for g in generators:
-        if not group.contains(g):
-            raise ValueError(f"{g} is not an element of the group")
-        members = _closure_with(group, set(members), g)
-    return members
-
-
-def _closure_with(group: AbelianGroup, base: set, g: Element) -> tuple:
-    """The subgroup generated by the subgroup ``base`` and g, sorted."""
-    # extend by all multiples of g added to the current subgroup
-    shifts = [group.zero]
-    y = g
-    while y not in base:
-        shifts.append(y)
-        y = group.add(y, g)
-    return tuple(sorted({group.add(x, s) for x in base for s in shifts}))
 
 
 def cosets(subgroup: Subgroup):
@@ -647,51 +624,85 @@ def _smith_diagonal(rows: list[list[int]], k: int) -> tuple[list[int], list[list
     return [abs(a[t][t]) for t in range(k)], v
 
 
-def _subgroup_sets(group: AbelianGroup, order: int, cap: int, avoid=()) -> list[tuple]:
-    """Sorted element tuples of every subgroup whose order divides ``order``
-    and that misses ``avoid``, sorted by (order, elements).
+def _trivial(G: AbelianGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Bool mask over the positions of G and residue rows of {0}."""
+    member = np.zeros(G.order, dtype=bool)
+    member[0] = True
+    return member, np.zeros((1, len(G.cyclic_orders)), dtype=np.int64)
 
-    Cyclic groups have one subgroup per divisor.  Otherwise subgroups grow
-    one element at a time from the trivial one, exhaustive for group orders
-    up to ``cap``; a subgroup that meets ``avoid`` is never extended, which
-    loses nothing because every subgroup missing ``avoid`` is reached through
-    a chain of its own subgroups, each missing ``avoid`` too.
-    """
-    blocked = frozenset(avoid)
-    if group.is_cyclic:
-        gen = next(g for g in product(*map(range, group.cyclic_orders))
-                   if group.element_order(g) == group.order)
-        subs = [_closure_with(group, {group.zero}, group.scale(group.order // d, gen))
-                for d in range(1, order + 1) if order % d == 0]
-        return [els for els in subs if blocked.isdisjoint(els)]
+
+def _join(G: AbelianGroup, member: np.ndarray, rows: np.ndarray, g: np.ndarray,
+          order: int = 0) -> np.ndarray | None:
+    """Residue rows of <S, g>, for the subgroup S with bool mask ``member``
+    over the positions of G and residue ``rows``, and the residue row g: the
+    sums s + m g for 0 <= m < t, t the least m > 0 with m g in S, one coset
+    of S each.  None when ``order`` is nonzero and |S| t does not divide it."""
+    n = np.array(G.cyclic_orders)
+    # m g up to the order of g, or up to order / |S|, past which t is too large
+    top = order // len(rows) if order else np.lcm.reduce(n // np.gcd(g, n))
+    multiples = np.arange(top + 1)[:, None] * g % n
+    back = member[multiples[1:] @ G.strides]
+    t = int(back.argmax()) + 1
+    if not back[t - 1] or order and order % (len(rows) * t):
+        return None
+    return ((rows[:, None] + multiples[:t]) % n).reshape(-1, len(n))
+
+
+def _subgroup_search(G: AbelianGroup, order: int, cap: int, avoid: np.ndarray | None = None,
+                     first: bool = False) -> list[np.ndarray]:
+    """Ascending positions of every subgroup whose order divides ``order``
+    and that misses the positions set in the bool mask ``avoid``, sorted by
+    (order, positions); with ``first``, of the lex-first one of order
+    ``order`` alone, or of none.  Cyclic groups have one subgroup per divisor.
+
+    Otherwise a depth-first walk, exhaustive for group orders up to ``cap``,
+    grows <S, g> from S for each candidate g (order dividing ``order``, not
+    in ``avoid``) in increasing position, skipping g in the coset g' + S of
+    an earlier g', and <S, g> when its order does not divide ``order``, it
+    meets ``avoid`` or it was reached before.  Positions order residue tuples
+    lexicographically, so if g = min(H - S) < min(H' - S) for subgroups H, H'
+    over S, H precedes H'; and no earlier coset holds g (g - s would be a
+    smaller element of H - S).  So the first hit is the lex-first subgroup,
+    and without one the walk is exhaustive.  Each step at least doubles |S|,
+    so the walk is at most log2 ``order`` deep."""
+    blocked = np.zeros(G.order, dtype=bool) if avoid is None else avoid
+    n, (trivial, zero) = np.array(G.cyclic_orders), _trivial(G)
+    if G.is_cyclic:  # of order d: generated by n / gcd(n, d) in each factor Z_n
+        divisors = [order] if first else [d for d in range(1, order + 1) if order % d == 0]
+        found = (np.sort(_join(G, trivial, zero, n // np.gcd(n, d)) @ G.strides) for d in divisors)
+        return [at for at in found if not blocked[at].any()]
     # the trivial subgroup alone needs no search
-    if order > 1 and group.order > cap:
-        raise SearchCapExceeded(
-            f"subgroup search not exhaustive: group order {group.order} exceeds cap {cap}"
-        )
-    if group.zero in blocked:
+    if order > 1 and G.order > cap:
+        raise SearchCapExceeded(f"subgroup search not exhaustive: group order {G.order} exceeds cap {cap}")
+    if blocked[0]:
         return []
+    residues = np.stack(np.unravel_index(np.arange(G.order), G.cyclic_orders), axis=1)
     # only elements whose order divides the target can lie in a solution
-    candidates = [g for g in group.elements
-                  if order % group.element_order(g) == 0 and g not in blocked]
-    start = (group.zero,)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        members = set(current)
-        tried = set(current)
+    fits = order % np.lcm.reduce(n // np.gcd(residues, n), axis=1) == 0
+    candidates = np.flatnonzero(fits & ~blocked).tolist()
+    seen = {}  # the mask of every subgroup reached, by its packed bytes
+
+    def walk(member, rows):
+        seen[np.packbits(member).tobytes()] = member
+        if len(rows) == order:
+            return member if first else None
+        tried = member.copy()
         for g in candidates:
-            if g in tried:
+            if tried[g]:
                 continue
-            # the closure with g depends only on the coset g + current
-            tried.update(group.add(g, h) for h in current)
-            closed = _closure_with(group, members, g)
-            if order % len(closed) or not blocked.isdisjoint(closed) or closed in seen:
+            tried[(rows + residues[g]) % n @ G.strides] = True
+            grown = _join(G, member, rows, residues[g], order)
+            if grown is None or blocked[at := grown @ G.strides].any():
                 continue
-            seen.add(closed)
-            frontier.append(closed)
-    return sorted(seen, key=lambda els: (len(els), els))
+            mask = np.zeros(G.order, dtype=bool)
+            mask[at] = True
+            if np.packbits(mask).tobytes() not in seen and (hit := walk(mask, grown)) is not None:
+                return hit
+        return None
+
+    hit = walk(trivial, zero)
+    masks = ([] if hit is None else [hit]) if first else seen.values()
+    return sorted((np.flatnonzero(mask) for mask in masks), key=lambda at: (len(at), at.tolist()))
 
 
 def subgroups_of_order(group: AbelianGroup, order: int, cap: int = 10000) -> list[Subgroup]:
@@ -702,7 +713,8 @@ def subgroups_of_order(group: AbelianGroup, order: int, cap: int = 10000) -> lis
     """
     if order < 1 or group.order % order:
         raise ValueError(f"{order} does not divide the group order {group.order}")
-    return [Subgroup(group, els) for els in _subgroup_sets(group, order, cap) if len(els) == order]
+    return [Subgroup(group, tuple(group._elements_at(at)))
+            for at in _subgroup_search(group, order, cap) if len(at) == order]
 
 
 def all_subgroups(group: AbelianGroup, cap: int = 10000) -> list[Subgroup]:
@@ -711,4 +723,4 @@ def all_subgroups(group: AbelianGroup, cap: int = 10000) -> list[Subgroup]:
         raise SearchCapExceeded(
             f"subgroup search not exhaustive: group order {group.order} exceeds cap {cap}"
         )
-    return [Subgroup(group, els) for els in _subgroup_sets(group, group.order, cap)]
+    return [Subgroup(group, tuple(group._elements_at(at))) for at in _subgroup_search(group, group.order, cap)]

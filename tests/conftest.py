@@ -195,6 +195,61 @@ def reference_cosets(H):
 
 
 # ---------------------------------------------------------------------------
+# the walk over element tuples that the position search of
+# ``groups._subgroup_search`` replaced
+
+
+def _reference_closure_with(group, base: set, g) -> tuple:
+    """The subgroup generated by the subgroup ``base`` and g, sorted."""
+    shifts = [group.zero]
+    y = g
+    while y not in base:
+        shifts.append(y)
+        y = group.add(y, g)
+    return tuple(sorted({group.add(x, s) for x in base for s in shifts}))
+
+
+def reference_subgroup_sets(group, order: int, cap: int, avoid=()) -> list[tuple]:
+    """Sorted element tuples of every subgroup whose order divides ``order``
+    and that misses ``avoid``, sorted by (order, elements): growth from the
+    trivial subgroup by one candidate per coset of the current subgroup."""
+    from itertools import product
+
+    blocked = frozenset(avoid)
+    if group.is_cyclic:
+        gen = next(g for g in product(*map(range, group.cyclic_orders))
+                   if group.element_order(g) == group.order)
+        subs = [_reference_closure_with(group, {group.zero}, group.scale(group.order // d, gen))
+                for d in range(1, order + 1) if order % d == 0]
+        return [els for els in subs if blocked.isdisjoint(els)]
+    if order > 1 and group.order > cap:
+        raise ek.SearchCapExceeded(
+            f"subgroup search not exhaustive: group order {group.order} exceeds cap {cap}"
+        )
+    if group.zero in blocked:
+        return []
+    candidates = [g for g in group.elements
+                  if order % group.element_order(g) == 0 and g not in blocked]
+    start = (group.zero,)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        current = frontier.pop()
+        members = set(current)
+        tried = set(current)
+        for g in candidates:
+            if g in tried:
+                continue
+            tried.update(group.add(g, h) for h in current)
+            closed = _reference_closure_with(group, members, g)
+            if order % len(closed) or not blocked.isdisjoint(closed) or closed in seen:
+                continue
+            seen.add(closed)
+            frontier.append(closed)
+    return sorted(seen, key=lambda els: (len(els), els))
+
+
+# ---------------------------------------------------------------------------
 # the cell-by-cell matrix algebra that the term layout of ``ExactForm``
 # replaced: cells are rows of ``Cyclotomic`` values, the matrix is
 # sqrt(scale_sq) times them

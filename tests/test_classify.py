@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,10 @@ import pytest
 import etfkit as ek
 from etfkit import cli, groups
 from etfkit.classify import _SliceTable, _appendix_counting_identity
+
+from conftest import oracle_difference_counts, oracle_is_difference_set
+
+classify_module = importlib.import_module("etfkit.classify")
 
 
 def test_compute_Dg_examples(z15_D, z15_H):
@@ -270,21 +275,65 @@ def test_classify_tpp101_peak_memory():
     assert int(done.stdout) < 300 * 1024
 
 
-def test_classify_peaks_no_higher_than_certification():
+def test_classify_peaks_no_higher_than_certification(monkeypatch):
     # every stage after the difference counts works on H and G/H; fresh
     # groups, so each traced call builds its own cached tables
     D = ek.singer_complement(2, 7).D
 
-    def peak(stage):
-        X = ek.subset(ek.group_new(D.group.cyclic_orders), D.elements)
-        tracemalloc.start()
-        try:
-            stage(X)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def fresh():
+        return ek.subset(ek.group_new(D.group.cyclic_orders), D.elements)
 
-    assert peak(ek.classify) <= peak(ek.certify_difference_set)
+    fine_subgroup = classify_module._fine_subgroup
+
+    def from_fine_subgroup_on(*args):
+        tracemalloc.reset_peak()
+        return fine_subgroup(*args)
+
+    monkeypatch.setattr(classify_module, "_fine_subgroup", from_fine_subgroup_on)
+    tracemalloc.start()
+    try:
+        ek.certify_difference_set(fresh())
+        certification = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tracemalloc.start()
+        cert = ek.classify(fresh())
+        stages = tracemalloc.get_traced_memory()[1]  # the peak since _fine_subgroup began
+    finally:
+        tracemalloc.stop()
+    assert cert.is_fine
+    assert stages <= certification
+
+
+def test_classify_counts_the_differences_of_a_non_difference_set_once(monkeypatch):
+    rng = random.Random(3)
+    G = ek.group_new([4, 2, 2])  # G - 1 = 15 divides |D| (|D| - 1) for |D| = 6
+    while True:
+        D = ek.subset(G, rng.sample(G.elements, 6))
+        verdict, _ = oracle_is_difference_set(G.cyclic_orders, D.elements)
+        if not verdict:
+            break
+    counts = oracle_difference_counts(G.cyclic_orders, D.elements)
+    values = [counts.get(g, 0) for g in G.elements[1:]]
+    least, most = G.elements[1 + values.index(min(values))], G.elements[1 + values.index(max(values))]
+    calls = []
+    sum_counts = groups._sum_counts
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sum_counts(*args, **kwargs)
+
+    for module in ("etfkit.groups", "etfkit.designs", "etfkit.classify"):
+        monkeypatch.setattr(importlib.import_module(module), "_sum_counts", counting)
+    assert ek.classify(D).as_dict() == {
+        "group": {"cyclic_orders": [4, 2, 2]},
+        "elements": [list(g) for g in D.elements],
+        "is_difference_set": False, "lambda": None, "welch_s": None,
+        "is_fine": False, "is_amalgam": False, "is_composite": False, "divisibility": {},
+        "not_ds_witness": {"element_1": list(least), "count_1": min(values),
+                           "element_2": list(most), "count_2": max(values)},
+        "failure_reason": "not a difference set",
+    }
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -203,16 +203,17 @@ def test_verify_triple_fails_off_composite(tmp_path):
 
 
 def _counting_certifications(monkeypatch):
-    """Count every ``certify_difference_set`` call, whichever module binds it."""
+    """Count every difference-set certification: each is one
+    ``designs._certificate`` call, whichever module binds it."""
     calls = []
-    certify = ek.certify_difference_set
+    certificate = importlib.import_module("etfkit.designs")._certificate
 
-    def counting(D):
+    def counting(D, *args, **kwargs):
         calls.append(D)
-        return certify(D)
+        return certificate(D, *args, **kwargs)
 
     for module in ("etfkit.designs", "etfkit.classify"):
-        monkeypatch.setattr(importlib.import_module(module), "certify_difference_set", counting)
+        monkeypatch.setattr(importlib.import_module(module), "_certificate", counting)
     return calls
 
 

@@ -343,3 +343,14 @@ def test_family_construction_leaves_numpy_ma_unimported():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_noncyclic_classify_leaves_numpy_ma_unimported():
+    # the subgroup search keeps its subgroups by their bytes; numpy's unique
+    # would import numpy.ma
+    code = ("import sys, etfkit as ek; ek.classify(ek.mcfarland(2, 3, (2, 2, 2)).D); "
+            "ek.classify(ek.mcfarland(4, 2, (6,)).D); print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(ek.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -3,13 +3,19 @@ enumeration and the fine-subgroup search against exhaustive subset closure,
 quotient projections against first principles, and known subgroup-lattice
 counts."""
 
+import functools
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import etfkit as ek
+from etfkit.groups import _subgroup_search
+
+from conftest import reference_subgroup_sets
 
 
 def brute_force_subgroups(group):
@@ -116,6 +122,62 @@ def test_is_fine_trivial_subgroup_unless_zero_in_D(missing):
     # D = G minus one point has S = G - 1, so the fine subgroup is {0}
     els = [g for g in ek.group_new([5, 5]).elements if g != missing]
     assert _fine_subgroup_agrees_with_oracle((5, 5), els)
+
+
+# groups for the position search against the element-tuple walk it replaced
+SEARCH_GROUPS = [[2] * k for k in range(1, 7)] + [[4, 2, 2, 2], [8, 2], [4, 4], [2, 6], [3, 3, 2]]
+
+
+@functools.cache
+def _reference_lattice(G):
+    return reference_subgroup_sets(G, G.order, 10000)
+
+
+def _lex_first(G, k, avoid):
+    mask = np.zeros(G.order, dtype=bool)
+    mask[G.indices(avoid)] = True
+    found = _subgroup_search(G, k, 10000, mask, first=True)
+    return tuple(G._elements_at(found[0])) if found else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lex_first_search_matches_reference_walk(data):
+    G = ek.group_new(data.draw(st.sampled_from(SEARCH_GROUPS), label="orders"))
+    k = data.draw(st.sampled_from([d for d in range(1, G.order + 1) if G.order % d == 0]), label="k")
+    # avoid sets of every density, the identity included now and then (no hit)
+    share = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]), label="share")
+    picks = data.draw(st.lists(st.floats(0, 1), min_size=G.order, max_size=G.order), label="u")
+    avoid = [g for g, u in zip(G.elements, picks) if u < share]
+    # the subgroups of order dividing k that miss avoid, from the reference's
+    # whole lattice, in its (order, elements) order
+    ref = [els for els in _reference_lattice(G) if k % len(els) == 0 and not set(els) & set(avoid)]
+    assert _lex_first(G, k, avoid) == min((els for els in ref if len(els) == k), default=None)
+    if G.order <= 32:  # the whole walk takes about a second on Z_2^6
+        mask = np.zeros(G.order, dtype=bool)
+        mask[G.indices(avoid)] = True
+        assert [tuple(G._elements_at(at)) for at in _subgroup_search(G, k, 10000, mask)] == ref
+
+
+def test_lex_first_search_keeps_subgroups_that_share_a_closure():
+    # marking all of <S, g> tried, instead of the coset g + S, returned <(1, 0)>
+    G = ek.group_new([8, 2])
+    assert _lex_first(G, 8, []) == ((0, 0), (0, 1), (2, 0), (2, 1), (4, 0), (4, 1), (6, 0), (6, 1))
+    assert _lex_first(G, 8, [(0, 1)]) == tuple((x, 0) for x in range(8))
+    assert _lex_first(G, 8, [(0, 1), (1, 0)]) == tuple((x, x % 2) for x in range(8))
+    assert _lex_first(G, 8, [(0, 1), (1, 0), (1, 1)]) is None
+
+
+@pytest.mark.parametrize("orders", SEARCH_GROUPS, ids=str)
+def test_subgroup_enumeration_matches_reference_walk(orders):
+    G = ek.group_new(orders)
+    ref = _reference_lattice(G)
+    assert [H.elements for H in ek.all_subgroups(G)] == ref
+    # on Z_2^6 each order above 8 repeats most of the walk compared above
+    for h in (d for d in range(1, G.order + 1) if G.order % d == 0 and (d <= 8 or G.order < 64)):
+        walk = [tuple(G._elements_at(at)) for at in _subgroup_search(G, h, 10000)]
+        assert walk == [e for e in ref if h % len(e) == 0]
+        assert [H.elements for H in ek.subgroups_of_order(G, h)] == [e for e in ref if len(e) == h]
 
 
 @pytest.mark.parametrize(
