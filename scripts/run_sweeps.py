@@ -12,13 +12,24 @@ import time
 import etfkit as ek
 
 
+def fusion_verdicts(D, H, cert) -> tuple[str, str]:
+    """The ECTFF and EITFF verdicts of a fine set, the EITFF one as FAIL
+    when it differs from the amalgam certificate; "-" off fine sets."""
+    if not cert.is_fine:
+        return "-", "-"
+    eitff = ek.eitff_check(D, H).passed
+    return str(ek.ectff_check(D, H).passed), str(eitff) if eitff == cert.amalgam else "FAIL"
+
+
 def sweep_twin_primes(qs):
     print("== twin prime power complements ==")
-    print(f"{'q':>4} {'group':>16} {'|D|':>5} {'fine':>5} {'amalgam':>8} {'composite':>10} {'conf':>6} {'t':>7}")
+    print(f"{'q':>4} {'group':>16} {'|D|':>5} {'fine':>5} {'amalgam':>8} {'composite':>10} "
+          f"{'ectff':>6} {'eitff':>6} {'conf':>6} {'t':>7}")
     for q in qs:
         t0 = time.perf_counter()
         tc = ek.tpp_complement(q)
         cert = ek.classify(tc.D)
+        ectff, eitff = fusion_verdicts(tc.D, tc.H, cert)
         conf_ok = "-"
         if cert.amalgam:
             ann = set(tc.H.annihilator().elements)
@@ -29,17 +40,19 @@ def sweep_twin_primes(qs):
         gname = "x".join(map(str, tc.group.cyclic_orders))
         print(
             f"{q:>4} {gname:>16} {tc.D.size:>5} {str(cert.is_fine):>5} "
-            f"{str(cert.amalgam):>8} {str(cert.is_composite):>10} {conf_ok:>6} {dt:>6.2f}s"
+            f"{str(cert.amalgam):>8} {str(cert.is_composite):>10} {ectff:>6} {eitff:>6} {conf_ok:>6} {dt:>6.2f}s"
         )
 
 
 def sweep_singer(pairs):
     print("\n== shifted Singer complements ==")
-    print(f"{'(q,j)':>8} {'group':>8} {'|D|':>5} {'S':>4} {'composite':>10} {'amalgam conf':>13} {'rds conf':>9} {'t':>7}")
+    print(f"{'(q,j)':>8} {'group':>8} {'|D|':>5} {'S':>4} {'composite':>10} {'ectff':>6} {'eitff':>6} "
+          f"{'amalgam conf':>13} {'rds conf':>9} {'t':>7}")
     for (q, j) in pairs:
         t0 = time.perf_counter()
         sc = ek.singer_complement(q, j)
         cert = ek.classify(sc.D)
+        ectff, eitff = fusion_verdicts(sc.D, sc.H, cert)
         ann = set(sc.H.annihilator().elements)
         gamma = next(c for c in sc.group.characters if c not in ann)
         r1 = ek.verify_conference(ek.conference_from_amalgam(sc.D, sc.H, gamma))
@@ -47,7 +60,7 @@ def sweep_singer(pairs):
         dt = time.perf_counter() - t0
         print(
             f"{f'({q},{j})':>8} {f'Z_{sc.group.order}':>8} {sc.D.size:>5} {cert.welch_s:>4} "
-            f"{str(cert.is_composite):>10} {('pass' if r1.passed else 'FAIL'):>13} "
+            f"{str(cert.is_composite):>10} {ectff:>6} {eitff:>6} {('pass' if r1.passed else 'FAIL'):>13} "
             f"{('pass' if r2.passed else 'FAIL'):>9} {dt:>6.2f}s"
         )
 

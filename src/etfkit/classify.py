@@ -15,29 +15,34 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import _root_array
 from .designs import GroupSubset, _certificate, certify_difference_set, welch_integer_S
-from .groups import _PAIR_CHUNK, Element, Subgroup, VerdictDisagreement, _subgroup_search, _sum_counts
+from .groups import Element, Subgroup, VerdictDisagreement, _subgroup_search, _sum_counts
 
 
 class _SliceTable:
     """The coset slices Y_a = (D - r_a) & H, for the coset representatives
     r_0 = 0, r_1, ..., r_S of H, as (S+1) x n indicators over the positions
     of H.elements (n = |H|).  Every check that depends only on H and G/H
-    reads them; the other parts are derived on first use, the n x n tables
-    only for the triple products and the angle log of small H."""
+    reads them.  Fineness reads the slice sizes alone; the counts, the
+    spectrum and the addition tables work in H's own coordinates
+    (``Subgroup._coordinates``), which they build on first use."""
 
     def __init__(self, D: GroupSubset, H: Subgroup) -> None:
         G = D.group
+        if G != H.group:
+            raise ValueError("subset and subgroup must live in the same group")
         self.D, self.H, self.s = D, H, G.order // H.order - 1
-        self.reps = tuple(G._elements_at(H._coset_positions()[:, 0]))
-        self.h_rows = G._residues(H.elements)
-        self.h_index = self.h_rows @ G.strides  # ascending
+        first, index = H._coset_index
+        self.reps = tuple(G._elements_at(first))
+        self.h_index = G.indices(H.elements)  # ascending
+        at = D._rows @ G.strides
         self.in_d = np.zeros(G.order, dtype=bool)
-        self.in_d[G.indices(D._rows)] = True
-        self.hits = np.empty((len(self.reps), H.order), dtype=bool)
-        for r, c, positions in G._pair_blocks(G._residues(self.reps), self.h_rows):
-            self.hits[r, c] = self.in_d[positions]
+        self.in_d[at] = True
+        # d = r_a + h for a the index of d's coset and h = d - r_a in H
+        a = index[at]
+        h = (D._rows - G._rows_at(first[a])) % G.cyclic_orders @ G.strides
+        self.hits = np.zeros((len(first), H.order), dtype=bool)
+        self.hits[a, np.searchsorted(self.h_index, h)] = True
         self.sizes = self.hits.sum(axis=1)
 
     @cached_property
@@ -67,21 +72,17 @@ class _SliceTable:
         """(S+1) x n int64: at (a, u), the pairs (x, y) of Y_a with x - y = h_u."""
         return self.cross_counts(None)
 
-    def cross_counts(self, rows) -> np.ndarray:
-        """(S+1) x n int64: at (a, u), the pairs (x, y) of Y_a and the residue
-        ``rows`` (Y_a itself for None) with x - y = h_u, in blocks of at most
-        ``_PAIR_CHUNK`` pairs; x - y lies in H when ``rows`` does."""
-        G, out, h_at = self.D.group, np.zeros(self.hits.shape, dtype=np.int64), self.h_at()
+    def cross_counts(self, other) -> np.ndarray:
+        """(S+1) x n int64: at (a, u), the pairs (x, y) of Y_a and of the
+        subset of H with indicator row ``other`` (Y_a itself for None) with
+        x - y = h_u, one ``_sum_counts`` over H's coordinates per nonempty
+        slice."""
+        C, at, _ = self.H._coordinates
+        rows, out = C._rows_at(at), np.zeros(self.hits.shape, dtype=np.int64)
         for a in np.flatnonzero(self.sizes):
-            y = self.h_rows[self.hits[a]]
-            other = y if rows is None else rows
-            for _, _, positions in G._pair_blocks(y, -other % G.cyclic_orders):
-                out[a] += np.bincount(h_at[positions.ravel()], minlength=self.H.order)
-        return out
-
-    def h_at(self) -> np.ndarray:  # at each G-position of H, its position in H.elements
-        out = np.zeros(self.D.group.order, dtype=np.int64)
-        out[self.h_index] = np.arange(self.H.order)
+            y = rows[self.hits[a]]
+            minus = -rows[self.hits[a] if other is None else other] % C.cyclic_orders
+            out[a] = _sum_counts(C, y, minus)[at]
         return out
 
     def is_difference_set(self, a: int) -> bool:
@@ -109,40 +110,37 @@ class _SliceTable:
 
     @cached_property
     def labels(self) -> tuple:  # annihilator coset representatives: on H, the eta_k
-        return tuple(self.D.group._elements_at(self.H.annihilator()._coset_positions()[:, 0]))
+        return tuple(self.D.group._elements_at(self.H.annihilator()._coset_index[0]))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """(S+1) x n: F_a(eta_k), the sum of eta_k over Y_a, from the columns
-        of H that some slice meets, in blocks of at most ``_PAIR_CHUNK``
-        character values.  Row d of E_gamma has one entry, in the column of
-        d's coset, so E_gamma* E_gamma' is diagonal with entry a = (S/|D|)
-        (gamma' - gamma)(r_a) F_a(eta), eta the restriction of gamma' - gamma."""
-        G = self.D.group
-        met = np.flatnonzero(self.hits.any(axis=0))
-        y, roots = self.hits[:, met].astype(complex), _root_array(G.exponent)
-        step = max(1, _PAIR_CHUNK // max(1, len(met)))
-        out = np.empty((len(y), len(self.labels)), dtype=complex)
-        for i in range(0, len(self.labels), step):
-            np.matmul(y, roots[G._pair_exponents(self.labels[i:i + step], self.h_rows[met])].T,
-                      out=out[:, i:i + step])
-        return out
+        """(S+1) x n: F_a(eta_k), the sum of eta_k over Y_a.  In H's
+        coordinates that is the unscaled inverse DFT of Y_a at eta_k's
+        coordinates, one FFT over C's axes for all S+1 rows.  Row d of
+        E_gamma has one entry, in the column of d's coset, so E_gamma*
+        E_gamma' is diagonal with entry a = (S/|D|) (gamma' - gamma)(r_a)
+        F_a(eta), eta the restriction of gamma' - gamma."""
+        C, at, eta = self.H._coordinates
+        grid = np.zeros((len(self.hits), C.order))
+        grid[:, at] = self.hits
+        axes = tuple(range(1, 1 + len(C.cyclic_orders)))
+        spectrum = np.fft.ifftn(grid.reshape(-1, *C.cyclic_orders), axes=axes, norm="forward")
+        return spectrum.reshape(len(grid), -1)[:, eta]
 
     @cached_property
     def h_add(self) -> np.ndarray:  # position of h_i + h_j
-        return self.h_at()[self.D.group._sum_indices(self.h_rows, self.h_rows)]
+        return self._sums(self.H._coordinates[1])
 
     @cached_property
     def eta_add(self) -> np.ndarray:  # index of eta_i + eta_j
-        G, cosets = self.D.group, self.H.annihilator()._coset_positions()
-        coset_of = np.empty(G.order, dtype=np.int64)
-        coset_of[cosets] = np.arange(len(cosets))[:, None]
-        return coset_of[G._sum_indices(self.labels, self.labels)]
+        return self._sums(self.H._coordinates[2])
 
-    @cached_property
-    def chars(self) -> np.ndarray:  # eta_k(h_j)
-        G = self.D.group
-        return _root_array(G.exponent)[G._pair_exponents(self.labels, self.h_rows)]
+    def _sums(self, at: np.ndarray) -> np.ndarray:
+        """At (i, j), the index in ``at`` of at_i + at_j, for C-positions
+        ``at`` that list every point of H's coordinates C once."""
+        C = self.H._coordinates[0]
+        rows = C._rows_at(at)
+        return np.argsort(at)[C._sum_indices(rows, rows)]
 
 
 def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
@@ -151,9 +149,9 @@ def compute_Dg(D: GroupSubset, H: Subgroup, g: Element) -> GroupSubset:
     G = D.group
     if not G.contains(g):
         raise ValueError(f"{g} is not an element of the group")
-    rep = H.coset_rep[g]
-    Y = _SliceTable(D, H).slices[rep]
-    return GroupSubset(G, tuple(G.add(y, G.sub(rep, g)) for y in Y.elements))
+    t = _SliceTable(D, H)
+    rep = t.reps[H._coset_index[1][G.index_of(g)]]
+    return GroupSubset(G, tuple(G.add(y, G.sub(rep, g)) for y in t.slices[rep].elements))
 
 
 def is_fine(D: GroupSubset, cap: int = 10000) -> Subgroup | None:
@@ -247,9 +245,10 @@ def _is_composite(t: _SliceTable):
     B = t.slices[nontrivial[0]]
     if B.size == 0 or (t.sizes[1:] != B.size).any() or not t.is_difference_set(1):
         return None
-    row, u = np.nonzero(t.cross_counts(B._rows) == B.size)
+    row, u = np.nonzero(t.cross_counts(t.hits[1]) == B.size)
     least = np.full(len(t.reps), G.order)  # per coset, the least a with D_a = B
-    np.minimum.at(least, row, (G._residues(t.reps)[row] + t.h_rows[u]) % G.cyclic_orders @ G.strides)
+    a = G._residues(t.reps)[row] + G._rows_at(t.h_index[u])
+    np.minimum.at(least, row, a % G.cyclic_orders @ G.strides)
     if (least[1:] == G.order).any():
         return None
     A = GroupSubset(G, tuple(G._elements_at(least[1:])))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,17 +42,20 @@ class CirculantConference:
         scale = math.sqrt(float(self.scale_sq))
         return np.array([complex(c) * scale for c in self.first_column])
 
+    @cached_property
     def _difference_index(self) -> np.ndarray:
-        """(n, n) positions in the first column of the cosets g_i - g_j."""
-        idx = {rep: i for i, rep in enumerate(self.coset_reps)}
-        rep_of, sub = self.subgroup.coset_rep, self.subgroup.group.sub
-        return np.array([[idx[rep_of[sub(a, b)]] for b in self.coset_reps] for a in self.coset_reps])
+        """(n, n) positions in the first column of the cosets g_i - g_j,
+        from the coset index of one sum per pair of representatives."""
+        G, index = self.subgroup.group, self.subgroup._coset_index[1]
+        rows = G._residues(self.coset_reps)
+        column = np.argsort(index[rows @ G.strides])  # at each coset index, its place in coset_reps
+        return column[index[G._sum_indices(rows, -rows % G.cyclic_orders)]]
 
     def materialize(self) -> ComplexMatrix:
         """Full matrix with entry (g_bar, g_bar') = first_column(g_bar - g_bar')."""
         n = self.size
         modulus, den, value, exp, num, roots = _exact_terms(self.first_column)
-        cell, t = _pairs(self._difference_index().ravel(), np.bincount(value, minlength=n))
+        cell, t = _pairs(self._difference_index.ravel(), np.bincount(value, minlength=n))
         exact = ExactForm(self.scale_sq, (n, n), modulus, den, cell, exp[t], num[t])
         return _matrix(self.coset_reps, self.coset_reps, exact, roots[t])
 
@@ -108,16 +112,17 @@ def _coset_sums(X: GroupSubset, H: Subgroup, gamma: Character) -> tuple[tuple, t
     pass as (coset, gamma-exponent) counts."""
     if X.group != H.group:
         raise ValueError("subset and subgroup must share a group")
+    G = X.group
+    G._residues([gamma])  # raises on a character outside the group
     if H.annihilator().contains(gamma):
         raise ValueError("gamma lies in the annihilator of H; no conference matrix")
-    G = X.group
-    rep_of = H.coset_rep
-    counts: dict = {g: {} for g, _ in H.cosets}
-    for x, e in zip(X.elements, G._pair_exponents([gamma], X.elements)[0].tolist()):
-        row = counts[rep_of[x]]
+    first, index = H._coset_index
+    counts: list = [{} for _ in first]
+    for c, e in zip(index[X._rows @ G.strides].tolist(), G._pair_exponents([gamma], X.elements)[0].tolist()):
+        row = counts[c]
         row[e] = row.get(e, 0) + 1
-    column = tuple(Cyclotomic(G.exponent, row) for row in counts.values())
-    return tuple(counts), column, G.order // H.order - 1
+    column = tuple(Cyclotomic(G.exponent, row) for row in counts)
+    return tuple(G._elements_at(first)), column, G.order // H.order - 1
 
 
 def verify_conference(C: CirculantConference, tol: float = 1e-9) -> ConferenceReport:
@@ -126,7 +131,7 @@ def verify_conference(C: CirculantConference, tol: float = 1e-9) -> ConferenceRe
     else VerdictDisagreement."""
     col = C.column_complex()
     n = C.size
-    diff = C._difference_index()
+    diff = C._difference_index
     zero_idx = int(diff[0, 0])
     zero_res = abs(col[zero_idx])
     off = np.delete(col, zero_idx)
@@ -222,7 +227,7 @@ def scalar_relation_check(
     c_srds = conference_from_srds(A, H, gamma)
     col_a = c_amalgam.column_complex()
     col_s = c_srds.column_complex()
-    zero_idx = int(c_amalgam._difference_index()[0, 0])
+    zero_idx = int(c_amalgam._difference_index[0, 0])
     ratios = [
         col_a[k] / col_s[k] for k in range(len(col_a)) if k != zero_idx
     ]

@@ -332,8 +332,8 @@ def simplicial_rds_quadratic(q: int) -> SimplicialRds:
     if params is None or params.as_tuple() != (q + 1, q - 1, q, 1):
         raise AssertionError(f"A is not an RDS({q + 1}, {q - 1}, {q}, 1): {params}")
     # the quotient by K must cover every nonidentity coset exactly once
-    reps = {K.coset_rep[a] for a in A.elements}
-    if len(reps) != q or K.coset_rep[G.zero] in reps:
+    cosets = set(K._coset_index[1][A._rows @ G.strides].tolist())  # the coset of K is index 0
+    if len(cosets) != q or 0 in cosets:
         raise AssertionError("A must meet every nonidentity coset of K once")
     return SimplicialRds(G, A, K, q)
 

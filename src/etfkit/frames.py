@@ -69,6 +69,8 @@ def check_tight(M: ComplexMatrix, tol: float = 1e-9) -> float | None:
 def simplex_psi(group: AbelianGroup, H: Subgroup) -> ComplexMatrix:
     """Synthesis of the regular S-simplex on the nonidentity cosets of H:
     Psi(g_bar, chi) = chi(g)/sqrt(S) for chi in the annihilator of H."""
+    if H.group != group:
+        raise ValueError("H must be a subgroup of the given group")
     ann = H.annihilator()
     reps = [g for g, _ in H.cosets if not H.contains(g)]
     s = len(reps)
@@ -86,6 +88,7 @@ def phi_gamma(D: GroupSubset, H: Subgroup, gamma: Character) -> ComplexMatrix:
     """Columns of the harmonic frame indexed by the coset gamma*annihilator,
     re-indexed by the annihilator itself."""
     G = D.group
+    G._residues([gamma])  # raises on a character outside the group
     ann = H.annihilator()
     rows = D.ordered
     exp = G._pair_exponents([gamma, *ann.elements], rows)
@@ -98,9 +101,10 @@ def e_gamma(D: GroupSubset, H: Subgroup, gamma: Character) -> ComplexMatrix:
     coset g_bar; columns indexed by nonidentity cosets of H."""
     t = _SliceTable(D, H).require_fine()
     G, s, reps = D.group, t.s, t.reps[1:]
-    column = {g: k for k, g in enumerate(reps)}
+    G._residues([gamma])  # raises on a character outside the group
     rows = D.ordered
-    cell = [i * len(reps) + column[H.coset_rep[d]] for i, d in enumerate(rows)]
+    # D misses H, the coset of index 0, so d's coset is column index - 1
+    cell = np.arange(len(rows)) * len(reps) + H._coset_index[1][G.indices(rows)] - 1
     exp = G._pair_exponents([gamma], rows)
     return _from_exponents(rows, reps, Fraction(s, D.size), G.exponent, exp, cell)
 
@@ -316,7 +320,7 @@ def triple_product_check(
         raise ValueError("B must lie in one coset of H")
     row_b = int(np.argmax(slices_b.sizes))
     y_b = slices_b.hits[row_b].astype(np.int64)
-    f_b = t.chars @ y_b
+    f_b = slices_b.spectrum[row_b]
     third = np.argmax(t.eta_add == 0, axis=1)[t.eta_add]  # index of -eta1 - eta2
     off = third != 0
     off[0, :] = off[:, 0] = False

@@ -85,6 +85,10 @@ class AbelianGroup:
         columns = np.unravel_index(np.asarray(positions, dtype=np.int64), self.cyclic_orders)
         return list(zip(*(c.tolist() for c in columns)))
 
+    def _rows_at(self, positions) -> np.ndarray:
+        """Residue rows at enumeration positions, one per position."""
+        return np.stack(np.unravel_index(np.asarray(positions, dtype=np.int64), self.cyclic_orders), axis=-1)
+
     def _residues(self, elements) -> np.ndarray:
         """Residue rows, one per element, of a sequence of group elements;
         raises ValueError naming the first one that is not an element."""
@@ -466,33 +470,67 @@ class Subgroup:
     @cached_property
     def cosets(self) -> tuple[tuple[Element, tuple[Element, ...]], ...]:
         """Disjoint cosets as (representative, elements); reps are lex-minimal."""
-        n, els = self.order, self.group._elements_at(self._coset_positions().reshape(-1))
+        # a stable sort by coset index lists each coset's positions in turn
+        n, els = self.order, self.group._elements_at(np.argsort(self._coset_index[1], kind="stable"))
         return tuple((els[i], tuple(els[i:i + n])) for i in range(0, len(els), n))
-
-    def _coset_positions(self) -> np.ndarray:
-        """The positions of the cosets, one ascending row each, rows ordered
-        by their first (least) position.  g and g' share a coset exactly
-        when g V and g' V agree mod the Smith diagonal of the relations (the
-        cyclic orders and the generators), so one stable sort of that label
-        lists each coset's positions together, in ascending order."""
-        G, k = self.group, len(self.group.cyclic_orders)
-        relations = [[n if j == i else 0 for j in range(k)] for i, n in enumerate(G.cyclic_orders)]
-        diag, v = _smith_diagonal(relations + [list(g) for g in self._generators], k)
-        label = np.zeros((), dtype=np.int64)
-        for d, column in zip(diag, zip(*v)):
-            y = np.zeros((), dtype=np.int64)  # (g V)_j mod d over all g, one factor at a time
-            for n, c in zip(G.cyclic_orders, column):
-                y = (y[..., None] + np.arange(n) * (c % d)) % d
-            label = label * d + y
-        label = label.reshape(-1)
-        order = np.argsort(label, kind="stable").reshape(-1, self.order)
-        if (label[order] != label[order[:, :1]]).any():
-            raise AssertionError("a coset label is not constant on a coset")
-        return order[np.argsort(order[:, 0])]
 
     @cached_property
     def coset_rep(self) -> dict:
         return {g: r for r, members in self.cosets for g in members}
+
+    def _coset_labels(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """(d, label): the Smith diagonal entries d_j != 1 of the relations
+        (the cyclic orders and the generators) and, at each position of G,
+        g V mod d as a mixed-radix position in C = prod Z_(d_j).  The
+        relations span a lattice whose image under V is prod d_j Z, so
+        g -> g V mod d is a homomorphism of G onto C with kernel this
+        subgroup: g and g' share a coset exactly when their labels agree."""
+        G, k = self.group, len(self.group.cyclic_orders)
+        relations = [[n if j == i else 0 for j in range(k)] for i, n in enumerate(G.cyclic_orders)]
+        diag, v = _smith_diagonal(relations + [list(g) for g in self._generators], k)
+        label = np.zeros(G.cyclic_orders, dtype=np.int64)
+        factors = [(d, column) for d, column in zip(diag, zip(*v)) if d != 1]  # g V is 0 mod 1
+        for d, column in factors:
+            y = np.zeros((), dtype=np.int64)  # (g V)_j mod d over all g, one factor at a time
+            for n, c in zip(G.cyclic_orders, column):
+                y = (y[..., None] + np.arange(n) * (c % d)) % d
+            label = label * d + y
+        return tuple(d for d, _ in factors), label.reshape(-1)
+
+    @cached_property
+    def _coset_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, index): the least position of each coset, ascending, and
+        at each position of G the index of its coset in that order, which
+        is the order of ``cosets``."""
+        _, label = self._coset_labels()
+        _, first, sizes = np.unique(label, return_index=True, return_counts=True)
+        if (sizes != self.order).any():
+            raise AssertionError("a coset label does not mark one coset")
+        return np.sort(first), np.argsort(np.argsort(first))[label]
+
+    @cached_property
+    def _coordinates(self) -> tuple[AbelianGroup, np.ndarray, np.ndarray]:
+        """(C, h, eta): this subgroup H in its own coordinates C = prod
+        Z_(d_j), as the C-positions of its elements and of its characters,
+        one per coset of the annihilator A, in ``A.cosets`` order.  The
+        character at c' takes the element at c to exp(2 pi i sum_j c_j c'_j
+        / d_j).  A's coset labels identify G^/A, and so H^, with C; chi_j,
+        the least character labelled e_j, has d_j chi_j in A, so chi_j(h) is
+        w^e, w = exp(2 pi i / L), with c_j = e d_j / L an integer.  h -> c is
+        a homomorphism, one-to-one as the characters separate the points of
+        H, and onto as |H| = |H^| = |C|.  For the trivial H, A is all of G^
+        and C = Z_1."""
+        G, ann = self.group, self.annihilator()
+        diag, label = ann._coset_labels()
+        C = AbelianGroup(diag or (1,))
+        first = ann._coset_index[0]
+        eta = label[first]
+        chis = first[np.argsort(eta)[C.strides % C.order]]  # at the unit vectors; Z_1 has only 0
+        exponents = G._pair_exponents(G._rows_at(chis), self.elements)
+        h = (exponents * np.array(C.cyclic_orders)[:, None] // G.exponent).T @ C.strides
+        if len(np.unique(h)) != self.order:
+            raise AssertionError("the coordinates of a subgroup are not one-to-one")
+        return C, h, eta
 
     def annihilator(self) -> "Subgroup":
         """Characters trivial on this subgroup, as a Subgroup of the dual."""
@@ -502,8 +540,7 @@ class Subgroup:
     def _annihilator(self) -> "Subgroup":
         # a character trivial on a generating set is trivial on the subgroup
         G = self.group
-        characters = np.stack(np.unravel_index(np.arange(G.order), G.cyclic_orders), axis=1)
-        trivial = (G._pair_exponents(characters, self._generators) == 0).all(axis=1)
+        trivial = (G._pair_exponents(G._rows_at(np.arange(G.order)), self._generators) == 0).all(axis=1)
         out = Subgroup(G, tuple(G._elements_at(np.flatnonzero(trivial))))
         if out.order * self.order != G.order:
             raise AssertionError(f"annihilator of order {out.order} for a subgroup of {self.order}")
@@ -676,7 +713,7 @@ def _subgroup_search(G: AbelianGroup, order: int, cap: int, avoid: np.ndarray | 
         raise SearchCapExceeded(f"subgroup search not exhaustive: group order {G.order} exceeds cap {cap}")
     if blocked[0]:
         return []
-    residues = np.stack(np.unravel_index(np.arange(G.order), G.cyclic_orders), axis=1)
+    residues = G._rows_at(np.arange(G.order))
     # only elements whose order divides the target can lie in a solution
     fits = order % np.lcm.reduce(n // np.gcd(residues, n), axis=1) == 0
     candidates = np.flatnonzero(fits & ~blocked).tolist()

@@ -21,6 +21,14 @@ from conftest import oracle_difference_counts, oracle_is_difference_set
 classify_module = importlib.import_module("etfkit.classify")
 
 
+def test_slice_table_rejects_a_subgroup_of_another_group(z15_D):
+    z9 = ek.Subgroup.generated_by(ek.group_new([9]), [(3,)])
+    with pytest.raises(ValueError, match="same group"):
+        ek.is_amalgam(z15_D, ek.Subgroup.full(ek.group_new([5])))
+    with pytest.raises(ValueError, match="same group"):
+        ek.compute_Dg(z15_D, z9, (1,))
+
+
 def test_compute_Dg_examples(z15_D, z15_H):
     assert ek.compute_Dg(z15_D, z15_H, (1,)).elements == ((5,), (10,))
     for g in ((2,), (8,), (4,)):

@@ -19,6 +19,13 @@ def _first_column_exponents(conf):
     return out
 
 
+@pytest.mark.parametrize("gamma", [(16,), (1, 2)])
+def test_conference_rejects_a_character_outside_the_group(z15_D, z15_H, gamma):
+    for build in (ek.conference_from_amalgam, ek.conference_from_srds):
+        with pytest.raises(ValueError, match="not an element of the group"):
+            build(z15_D, z15_H, gamma)
+
+
 def test_amalgam_route_matches_printed_c1(z15_D, z15_H):
     c1 = ek.conference_from_amalgam(z15_D, z15_H, (1,))
     assert c1.size == 5 and c1.s == 4

@@ -244,6 +244,18 @@ def test_e_gamma_column_support_size(z15_D, z15_H):
     assert list(support) == [2, 2, 2, 2]  # D/S nonzeros per column
 
 
+@pytest.mark.parametrize("gamma", [(16,), (1, 2)])
+def test_isometries_reject_a_character_outside_the_group(z15_D, z15_H, gamma):
+    for build in (ek.e_gamma, ek.phi_gamma):
+        with pytest.raises(ValueError, match="not an element of the group"):
+            build(z15_D, z15_H, gamma)
+
+
+def test_simplex_psi_rejects_a_subgroup_of_another_group(z15_H):
+    with pytest.raises(ValueError, match="subgroup of the given group"):
+        ek.simplex_psi(ek.group_new([21]), z15_H)
+
+
 def test_e_gamma_requires_fine_input():
     D = ek.cyclic_subset(7, [1, 2, 4])
     H = ek.Subgroup.trivial(D.group)

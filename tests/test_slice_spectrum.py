@@ -119,7 +119,7 @@ def test_family_checks_match_the_dense_references(name):
 # (cyclic orders, order of H); every H has at least three elements, so
 # triple products exist
 FINE_SHAPES = [((15,), 3), ((2, 2, 2, 2), 4), ((21,), 7), ((4, 4), 4), ((35,), 5), ((35,), 7),
-               ((3, 9), 9), ((2, 2, 3), 3)]
+               ((3, 9), 9), ((2, 2, 3), 3), ((2, 8), 4)]
 
 
 @st.composite
