@@ -13,10 +13,15 @@ conference  build circulant conference matrices (amalgam or srds route)
 Set files are JSON: {schema_version, group: {cyclic_orders}, elements,
 display_order?, subgroup?}.  Matrices export as CSV (labels + "re+imi"
 entries at 17 significant digits) or JSON with a dual exact representation
-{re, im, exact: {num, den, root_exp, root_mod}} whenever an entry is a
-rational multiple of a root of unity.  Exit codes: 0 pass, 1 verification
-failure, 2 usage or parse error.  ETFKIT_CAP overrides the group-order cap
-of the subgroup search in non-cyclic groups.
+{re, im, exact: {num, den, root_exp, root_mod}} on the entries that the
+matrix's exact form, folded with a rational scale, gives as a rational
+multiple of one root of unity; a matrix whose exact form was dropped (a
+product past the exact work limit) or whose scale is irrational has none.
+The conference commands take every character off the annihilator of H with
+--all-gammas, else the one at --gamma, else the first such character.
+Exit codes: 0 pass, 1 verification failure, 2 usage or parse error (also
+when no gamma is off the annihilator, or H is the whole group).  ETFKIT_CAP
+overrides the group-order cap of the subgroup search in non-cyclic groups.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from . import conference as conference_mod
 from . import designs, frames
 from .classify import classify as classify_set, compute_Dg, is_fine
-from .cyclotomic import Cyclotomic, rational_sqrt
+from .cyclotomic import Cyclotomic
 from .groups import (
     AbelianGroup, SearchCapExceeded, Subgroup, VerdictDisagreement, dft_numeric, group_new,
 )
@@ -145,31 +150,17 @@ def _label(t) -> str:
     return ":".join(str(x) for x in t)
 
 
-def _entry_exact(matrix: ComplexMatrix, i: int, j: int) -> dict | None:
-    if matrix.exact is None:
-        return None
-    r = rational_sqrt(matrix.exact.scale_sq)
-    if r is None:
-        return None
-    total = matrix.exact.cells[i][j] * r
-    sr = total.single_root()
-    if sr is None:
-        return None
-    q, e, mod = sr
-    return {"num": q.numerator, "den": q.denominator, "root_exp": e, "root_mod": mod}
-
-
 def matrix_to_json(matrix: ComplexMatrix) -> dict:
+    folded = matrix.exact.folded() if matrix.exact is not None else None
     entries = []
-    for i in range(matrix.shape[0]):
-        row = []
-        for j in range(matrix.shape[1]):
-            z = matrix.values[i, j]
-            cell = {"re": float(z.real), "im": float(z.imag)}
-            exact = _entry_exact(matrix, i, j)
-            if exact is not None:
-                cell["exact"] = exact
-            row.append(cell)
+    for i, values in enumerate(matrix.values.tolist()):
+        row = [{"re": z.real, "im": z.imag} for z in values]
+        for cell, x in zip(row, folded[i] if folded else ()):
+            sr = x.single_root()
+            if sr is not None:
+                q, e, mod = sr
+                cell["exact"] = {"num": q.numerator, "den": q.denominator, "root_exp": e,
+                                 "root_mod": mod}
         entries.append(row)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -260,15 +251,14 @@ def _report(command: str, params: dict, **extra) -> dict:
 def _emit_report(args, name: str, report: dict) -> None:
     text = dumps(report)
     print(text)
-    if args.out_dir is not None:
-        write_json(Path(args.out_dir) / name, report)
+    write_atomic(Path(args.out_dir) / name, text + "\n")
 
 
-def _need_subgroup(D, H, cap):
+def _need_subgroup(D, H):
     """Subgroup from the set file, else the certified fine subgroup."""
     if H is not None:
         return H
-    found = is_fine(D, cap=cap)
+    found = is_fine(D, cap=_cap())
     if found is None:
         raise ValueError("set is not fine and no subgroup was supplied")
     return found
@@ -280,9 +270,17 @@ def _gamma_by_index(group: AbelianGroup, idx: int):
     return group.characters[idx]
 
 
-def _valid_gammas(group: AbelianGroup, H: Subgroup):
-    ann = set(H.annihilator().elements)
-    return [chi for chi in group.characters if chi not in ann]
+def _conference_gammas(group: AbelianGroup, H: Subgroup, index: int | None,
+                       every: bool = False) -> list:
+    """Every character off the annihilator of H with ``every``, else the one
+    at ``index``, else the first one off the annihilator."""
+    if index is not None and not every:
+        return [_gamma_by_index(group, index)]
+    ann = H.annihilator()
+    valid = [chi for chi in group.characters if not ann.contains(chi)]
+    if not valid:
+        raise ValueError("no character off the annihilator of H")
+    return valid if every else valid[:1]
 
 
 def _conference_builder(source: str):
@@ -296,60 +294,32 @@ def _conference_builder(source: str):
 
 
 def cmd_construct(args) -> int:
-    out_dir = Path(args.out_dir)
-    if args.family == "singer":
-        sc = designs.singer_complement(args.q, args.j)
-        name = f"singer_q{args.q}_j{args.j}"
-        set_path = out_dir / f"{name}.json"
-        write_set(set_path, sc.D, sc.H)
-        cert = classify_set(sc.D, cap=_cap())
-        report = _report(
-            "construct",
-            {"family": "singer", "q": args.q, "j": args.j},
-            certificate=cert.as_dict(),
-            factors={
-                "a": [list(g) for g in sc.A.elements],
-                "b": [list(g) for g in sc.B.elements],
-            },
-            outputs={"set": str(set_path)},
-        )
-    elif args.family == "tpp":
-        tc = designs.tpp_complement(args.q)
-        name = f"tpp_q{args.q}"
-        set_path = out_dir / f"{name}.json"
-        write_set(set_path, tc.D, tc.H)
-        cert = classify_set(tc.D, cap=_cap())
-        report = _report(
-            "construct",
-            {"family": "tpp", "q": args.q},
-            certificate=cert.as_dict(),
-            outputs={"set": str(set_path)},
-        )
-    elif args.family == "mcfarland":
+    family, q, j = args.family, args.q, args.j
+    params: dict = {"family": family, "q": q}
+    extra: dict = {}
+    if family == "singer":
+        fam = designs.singer_complement(q, j)
+        params["j"] = j
+        extra["factors"] = {"a": [list(g) for g in fam.A.elements],
+                            "b": [list(g) for g in fam.B.elements]}
+    elif family == "tpp":
+        fam = designs.tpp_complement(q)
+    elif family == "mcfarland":
         k_orders = [int(x) for x in args.k_orders.split(",")] if args.k_orders else None
-        ms = designs.mcfarland(args.q, args.j, k_orders)
-        name = f"mcfarland_q{args.q}_j{args.j}"
-        set_path = out_dir / f"{name}.json"
-        write_set(set_path, ms.D, ms.H)
-        cert = classify_set(ms.D, cap=_cap())
-        report = _report(
-            "construct",
-            {"family": "mcfarland", "q": args.q, "j": args.j, "k_orders": list(ms.k_orders)},
-            certificate=cert.as_dict(),
-            outputs={"set": str(set_path)},
-        )
+        fam = designs.mcfarland(q, j, k_orders)
+        params.update(j=j, k_orders=list(fam.k_orders))
     else:  # srds
-        sr = designs.simplicial_rds_quadratic(args.q)
-        name = f"srds_q{args.q}"
-        set_path = out_dir / f"{name}.json"
-        write_set(set_path, sr.A, sr.K)
-        params = designs.certify_rds(sr.A, sr.K)
-        report = _report(
-            "construct",
-            {"family": "srds", "q": args.q},
-            rds_params={"m": params.m, "h": params.h, "d": params.d, "lambda": params.lam},
-            outputs={"set": str(set_path)},
-        )
+        fam = designs.simplicial_rds_quadratic(q)
+    name = f"{family}_q{q}" + (f"_j{j}" if "j" in params else "")
+    D, H = (fam.A, fam.K) if family == "srds" else (fam.D, fam.H)
+    set_path = Path(args.out_dir) / f"{name}.json"
+    write_set(set_path, D, H)
+    if family == "srds":
+        rds = designs.certify_rds(D, H)
+        body = {"rds_params": {"m": rds.m, "h": rds.h, "d": rds.d, "lambda": rds.lam}}
+    else:
+        body = {"certificate": classify_set(D, cap=_cap()).as_dict()}
+    report = _report("construct", params, **body, **extra, outputs={"set": str(set_path)})
     _emit_report(args, f"{name}.report.json", report)
     return 0
 
@@ -378,31 +348,19 @@ def cmd_classify(args) -> int:
 
 def cmd_frame(args) -> int:
     D, H = _load_input_set(args)
-    cap = _cap()
-    fmt = args.format
-    out_dir = Path(args.out_dir)
-    if args.emit == "synthesis":
+    name = args.emit.replace("-", "_")
+    if args.emit in ("synthesis", "gram"):
         matrix = frames.harmonic_synthesis(D)
-        name = "synthesis"
-    elif args.emit == "gram":
-        matrix = frames.gram(frames.harmonic_synthesis(D))
-        name = "gram"
+        if args.emit == "gram":
+            matrix = frames.gram(matrix)
     elif args.emit == "psi":
-        H = _need_subgroup(D, H, cap)
-        matrix = frames.simplex_psi(D.group, H)
-        name = "psi"
-    elif args.emit == "phi-gamma":
-        H = _need_subgroup(D, H, cap)
-        gamma = _gamma_by_index(D.group, args.gamma)
-        matrix = frames.phi_gamma(D, H, gamma)
-        name = f"phi_gamma{args.gamma}"
-    else:  # e-gamma
-        H = _need_subgroup(D, H, cap)
-        gamma = _gamma_by_index(D.group, args.gamma)
-        matrix = frames.e_gamma(D, H, gamma)
-        name = f"e_gamma{args.gamma}"
-    path = out_dir / f"{name}.{fmt}"
-    write_matrix(path, matrix, fmt)
+        matrix = frames.simplex_psi(D.group, _need_subgroup(D, H))
+    else:  # phi-gamma, e-gamma
+        build = frames.phi_gamma if args.emit == "phi-gamma" else frames.e_gamma
+        matrix = build(D, _need_subgroup(D, H), _gamma_by_index(D.group, args.gamma))
+        name += str(args.gamma)
+    path = Path(args.out_dir) / f"{name}.{args.format}"
+    write_matrix(path, matrix, args.format)
     report = _report(
         "frame",
         {"set": args.set_file, "emit": args.emit, "gamma": args.gamma},
@@ -415,7 +373,6 @@ def cmd_frame(args) -> int:
 
 def cmd_verify(args) -> int:
     D, H = _load_input_set(args)
-    cap = _cap()
     tol = args.tolerance
     params: dict = {"set": args.set_file, "check": args.check, "tolerance": tol}
 
@@ -434,13 +391,13 @@ def cmd_verify(args) -> int:
         report = _report("verify", params, passed=passed, coherence=coh, welch_bound=bound,
                          tight_constant=D.group.order / D.size, lam=lam)
     elif args.check in ("ectff", "eitff"):
-        H = _need_subgroup(D, H, cap)
+        H = _need_subgroup(D, H)
         check = frames.ectff_check if args.check == "ectff" else frames.eitff_check
         result = check(D, H, tol=tol)
         passed = result.passed
         report = _report("verify", params, passed=passed, result=result.as_dict())
     elif args.check == "triple":
-        cert = classify_set(D, cap=cap)
+        cert = classify_set(D, cap=_cap())
         H = H or cert.fine_subgroup
         if H is None:
             raise ValueError("set is not fine and no subgroup was supplied")
@@ -468,12 +425,8 @@ def cmd_verify(args) -> int:
         passed = result.passed
         report = _report("verify", params, passed=passed, result=result.as_dict())
     else:  # conference
-        H = _need_subgroup(D, H, cap)
-        gamma = (
-            _gamma_by_index(D.group, args.gamma)
-            if args.gamma is not None
-            else _valid_gammas(D.group, H)[0]
-        )
+        H = _need_subgroup(D, H)
+        gamma, = _conference_gammas(D.group, H, args.gamma)
         conf = _conference_builder(args.source)(D, H, gamma)
         result = conference_mod.verify_conference(conf, tol=tol)
         passed = result.passed
@@ -490,21 +443,12 @@ def cmd_verify(args) -> int:
 
 def cmd_conference(args) -> int:
     D, H = _load_input_set(args)
-    cap = _cap()
     tol = args.tolerance
-    H = _need_subgroup(D, H, cap)
+    H = _need_subgroup(D, H)
     builder = _conference_builder(args.source)
-    if args.all_gammas:
-        gammas = _valid_gammas(D.group, H)
-    else:
-        idx = args.gamma if args.gamma is not None else None
-        if idx is None:
-            gammas = [_valid_gammas(D.group, H)[0]]
-        else:
-            gammas = [_gamma_by_index(D.group, idx)]
     out_dir = Path(args.out_dir)
     results, all_passed = [], True
-    for gamma in gammas:
+    for gamma in _conference_gammas(D.group, H, args.gamma, args.all_gammas):
         conf = builder(D, H, gamma)
         verdict = conference_mod.verify_conference(conf, tol=tol)
         idx = D.group.index_of(gamma)

@@ -12,7 +12,7 @@ doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -74,19 +74,7 @@ class ConferenceReport:
     exact_autocorrelation: bool | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "check": "conference",
-            "size": self.size,
-            "s": self.s,
-            "passed": self.passed,
-            "zero_diagonal_residual": self.zero_diagonal_residual,
-            "unimodularity_residual": self.unimodularity_residual,
-            "product_residual": self.product_residual,
-            "circulant_residual": self.circulant_residual,
-            "exact_zero_diagonal": self.exact_zero_diagonal,
-            "exact_unimodular": self.exact_unimodular,
-            "exact_autocorrelation": self.exact_autocorrelation,
-        }
+        return {"check": "conference", **asdict(self)}
 
 
 def conference_from_amalgam(D: GroupSubset, H: Subgroup, gamma: Character) -> CirculantConference:
@@ -113,6 +101,8 @@ def _coset_sums(X: GroupSubset, H: Subgroup, gamma: Character) -> tuple[tuple, t
     if X.group != H.group:
         raise ValueError("subset and subgroup must share a group")
     G = X.group
+    if H.order == G.order:
+        raise ValueError("H must be a proper subgroup")
     G._residues([gamma])  # raises on a character outside the group
     if H.annihilator().contains(gamma):
         raise ValueError("gamma lies in the annihilator of H; no conference matrix")

@@ -179,12 +179,8 @@ class FiniteField:
         """Relative trace onto GF(p^sub_degree): sum of x^(p^sub_degree)^j."""
         if sub_degree < 1 or self.n % sub_degree:
             raise ValueError(f"sub_degree {sub_degree} does not divide {self.n}")
-        step = self.p**sub_degree
-        out, term = self.zero, x
-        for _ in range(self.n // sub_degree):
-            out = self.add(out, term)
-            term = self.pow(term, step)
-        if self.pow(out, step) != out:
+        out = self.partial_frobenius_sum(x, sub_degree, self.n // sub_degree)
+        if self.pow(out, self.p**sub_degree) != out:
             raise AssertionError("trace must land in the subfield")
         return out
 

@@ -13,7 +13,7 @@ D over H, and decide their verdicts by exact integer tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -275,14 +275,7 @@ class TripleProductReport:
     exhaustive: bool
 
     def as_dict(self) -> dict:
-        return {
-            "check": "triple-product",
-            "passed": self.passed,
-            "triples_checked": self.triples_checked,
-            "max_residual": self.max_residual,
-            "max_offcoset_modulus_residual": self.max_offcoset_modulus_residual,
-            "exhaustive": self.exhaustive,
-        }
+        return {"check": "triple-product", **asdict(self)}
 
 
 def triple_product_check(
@@ -357,16 +350,7 @@ class UnbiasedReport:
     agrees_with_rds: bool
 
     def as_dict(self) -> dict:
-        return {
-            "check": "unbiased-simplices",
-            "passed": self.passed,
-            "num_simplices": self.num_simplices,
-            "simplex_size": self.simplex_size,
-            "max_sum_residual": self.max_sum_residual,
-            "max_incoset_residual": self.max_incoset_residual,
-            "max_crosscoset_residual": self.max_crosscoset_residual,
-            "agrees_with_rds": self.agrees_with_rds,
-        }
+        return {"check": "unbiased-simplices", **asdict(self)}
 
 
 def unbiased_simplices_check(A: GroupSubset, H: Subgroup, tol: float = 1e-9) -> UnbiasedReport:

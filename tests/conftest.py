@@ -292,6 +292,22 @@ def reference_is_exactly_diagonal(cells) -> bool:
     return all(c.is_zero() for i, row in enumerate(cells) for j, c in enumerate(row) if i != j)
 
 
+def reference_entry_exact(matrix, i: int, j: int) -> dict | None:
+    """The exported exact field of entry (i, j), one cell at a time: the
+    cell times a rational sqrt(scale_sq), when that is a rational multiple
+    of one root of unity."""
+    if matrix.exact is None:
+        return None
+    r = rational_sqrt(matrix.exact.scale_sq)
+    if r is None:
+        return None
+    sr = (matrix.exact.cells[i][j] * r).single_root()
+    if sr is None:
+        return None
+    q, e, mod = sr
+    return {"num": q.numerator, "den": q.denominator, "root_exp": e, "root_mod": mod}
+
+
 # ---------------------------------------------------------------------------
 # the per-element family constructors that the field's power table replaced:
 # one scalar trace and discrete log per unit, logs from a walk of generator

@@ -16,6 +16,8 @@ import etfkit as ek
 from etfkit import cli
 from etfkit.classify import _SliceTable
 
+from conftest import reference_entry_exact
+
 
 def run(args):
     return cli.main([str(a) for a in args])
@@ -148,6 +150,48 @@ def test_matrix_json_exact_roundtrip(tmp_path):
         assert (cg.exact.cells[i][j] * r - cell).is_zero()
 
 
+def _exported_matrices(fam):
+    """Every ``frame --emit`` matrix and the amalgam conference matrix of a
+    family, at the first character off the annihilator of H."""
+    D, H = fam.D, fam.H
+    ann = H.annihilator()
+    gamma = next(chi for chi in D.group.characters if not ann.contains(chi))
+    synthesis = ek.harmonic_synthesis(D)
+    return {
+        "synthesis": synthesis,
+        "gram": ek.gram(synthesis),
+        "psi": ek.simplex_psi(D.group, H),
+        "phi-gamma": ek.phi_gamma(D, H, gamma),
+        "e-gamma": ek.e_gamma(D, H, gamma),
+        "conference": ek.conference_from_amalgam(D, H, gamma).materialize(),
+    }
+
+
+# tpp 11 keeps none: every scale is irrational but the Gram's, whose product
+# passes the exact work limit
+@pytest.mark.parametrize("family, exact_fields", [
+    (lambda: ek.singer_complement(2, 2), 150), (lambda: ek.tpp_complement(11), 0),
+    (lambda: ek.mcfarland(2, 3), 196),
+], ids=["singer_2_2", "tpp_11", "mcfarland_2_3"])
+def test_matrix_json_exact_fields_match_the_per_cell_reference(family, exact_fields):
+    kept = 0
+    for kind, matrix in _exported_matrices(family()).items():
+        entries = cli.matrix_to_json(matrix)["entries"]
+        for i, row in enumerate(entries):
+            for j, cell in enumerate(row):
+                assert cell.get("exact") == reference_entry_exact(matrix, i, j), (kind, i, j)
+                kept += "exact" in cell
+    assert kept == exact_fields
+
+
+def test_report_file_is_the_printed_report(tmp_path, capsys):
+    set_path = _write_z15(tmp_path)
+    assert run(["verify", set_path, "--check", "eitff", "--out-dir", tmp_path]) == 0
+    printed = capsys.readouterr().out
+    assert (tmp_path / "verify_eitff.report.json").read_text() == printed
+    assert printed.endswith("}\n")
+
+
 def test_verify_etf_and_eitff(tmp_path):
     set_path = _write_z15(tmp_path)
     assert run(["verify", set_path, "--check", "etf", "--out-dir", tmp_path]) == 0
@@ -276,6 +320,30 @@ def test_conference_gamma_in_annihilator_rejected(tmp_path):
     assert run([
         "conference", set_path, "--source", "amalgam", "--gamma", 3, "--out-dir", tmp_path,
     ]) == 2
+
+
+def _write_z15_with(tmp_path, subgroup) -> Path:
+    D = ek.cyclic_subset(15, [6, 11, 7, 12, 13, 3, 9, 14])
+    path = tmp_path / "z15.json"
+    cli.write_set(path, D, ek.Subgroup(D.group, tuple((h,) for h in subgroup)))
+    return path
+
+
+@pytest.mark.parametrize("subgroup, message", [
+    ([0], "no character off the annihilator of H"),
+    (range(15), "H must be a proper subgroup"),
+], ids=["trivial", "whole_group"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "conference"],
+    ["verify", "--check", "conference", "--source", "srds"],
+    ["conference", "--source", "amalgam"],
+    ["conference", "--source", "amalgam", "--all-gammas"],
+    ["conference", "--source", "srds"],
+], ids=["verify", "verify_srds", "conference", "conference_all", "conference_srds"])
+def test_conference_without_a_valid_gamma_exits_2(tmp_path, capsys, subgroup, message, argv):
+    path = _write_z15_with(tmp_path, subgroup)
+    assert run([argv[0], path, *argv[1:], "--out-dir", tmp_path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_conference_sweep_srds_q5(tmp_path):

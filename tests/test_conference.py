@@ -236,3 +236,10 @@ def test_unimodular_column_with_nonzero_off_peak_autocorrelation_fails():
     assert report.exact_zero_diagonal and report.exact_unimodular
     assert not report.exact_autocorrelation and not reference_exact_autocorrelation(conf)
     assert not report.passed
+
+
+@pytest.mark.parametrize("build", [ek.conference_from_amalgam, ek.conference_from_srds])
+def test_conference_over_the_whole_group_is_rejected(build):
+    D = ek.cyclic_subset(15, [6, 11, 7, 12, 13, 3, 9, 14])
+    with pytest.raises(ValueError, match="H must be a proper subgroup"):
+        build(D, ek.Subgroup.full(D.group), (1,))
