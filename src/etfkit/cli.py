@@ -17,8 +17,11 @@ entries at 17 significant digits) or JSON with a dual exact representation
 matrix's exact form, folded with a rational scale, gives as a rational
 multiple of one root of unity; a matrix whose exact form was dropped (a
 product past the exact work limit) or whose scale is irrational has none.
+Each distinct entry of a matrix is rendered once, and the files are byte for
+byte those of ``csv.writer`` and ``json.dumps(indent=2)`` over every entry.
 The conference commands take every character off the annihilator of H with
---all-gammas, else the one at --gamma, else the first such character.
+--all-gammas, else the one at --gamma, else the first such character;
+--gamma and --all-gammas together are a usage error.
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error (also
 when no gamma is off the annihilator, or H is the whole group).  ETFKIT_CAP
 overrides the group-order cap of the subgroup search in non-cyclic groups.
@@ -40,7 +43,7 @@ import numpy as np
 from . import conference as conference_mod
 from . import designs, frames
 from .classify import classify as classify_set, compute_Dg, is_fine
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, _single_roots, rational_sqrt
 from .groups import (
     AbelianGroup, SearchCapExceeded, Subgroup, VerdictDisagreement, dft_numeric, group_new,
 )
@@ -150,28 +153,136 @@ def _label(t) -> str:
     return ":".join(str(x) for x in t)
 
 
-def matrix_to_json(matrix: ComplexMatrix) -> dict:
-    folded = matrix.exact.folded() if matrix.exact is not None else None
-    entries = []
-    for i, values in enumerate(matrix.values.tolist()):
-        row = [{"re": z.real, "im": z.imag} for z in values]
-        for cell, x in zip(row, folded[i] if folded else ()):
-            sr = x.single_root()
-            if sr is not None:
-                q, e, mod = sr
-                cell["exact"] = {"num": q.numerator, "den": q.denominator, "root_exp": e,
-                                 "root_mod": mod}
-        entries.append(row)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "rows": [list(r) for r in matrix.row_labels],
-        "cols": [list(c) for c in matrix.col_labels],
-        "entries": entries,
-    }
+def _distinct(*keys) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over equal-length key columns: the least index of
+    each distinct key tuple, in increasing order, and each index's position
+    in ``first``.  One stable lexsort: a sorted run starts at its least index."""
+    order = np.lexsort(keys[::-1])
+    same = np.zeros(len(order), dtype=bool)
+    same[1:] = True
+    for key in keys:
+        ranked = key[order]
+        same[1:] &= ranked[1:] == ranked[:-1]
+    run = np.cumsum(~same) - 1
+    first = order[~same]
+    by_first = np.argsort(first)
+    position = np.empty_like(by_first)
+    position[by_first] = np.arange(len(by_first))
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = position[run]
+    return first[by_first], inverse
+
+
+def _term_sequences(count: np.ndarray, exp: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """Per cell, an id equal for two cells exactly when they hold the same
+    sequence of (exponent, numerator) terms; cell c holds the ``count[c]``
+    terms after those of the cells before it.  Position k refines the ids
+    of the cells with more than k terms."""
+    start = np.cumsum(count) - count
+    ids = np.zeros(len(count), dtype=np.int64)
+    for k in range(int(count.max(initial=0))):
+        has = np.flatnonzero(count > k)
+        t = start[has] + k
+        ids[has] = _distinct(ids[has], exp[t], num[t])[1]
+    return _distinct(count, ids)[1]
+
+
+_JSON_EXACT = (',\n        "exact": {{\n          "num": {},\n          "den": {},\n'
+               '          "root_exp": {},\n          "root_mod": {}\n        }}')
+_JSON_ENTRY = '{{\n        "re": {},\n        "im": {}{}\n      }}'
+
+
+def _exact_json(form) -> str:
+    if form is None:
+        return ""
+    q, e, mod = form
+    return _JSON_EXACT.format(q.numerator, q.denominator, e, mod)
+
+
+def _exact_fields(matrix: ComplexMatrix) -> tuple[np.ndarray, list[str]]:
+    """(id per cell, the text of the exact field per id, "" for none).
+
+    The cells are those of ``ExactForm.folded()``: like terms merged in
+    order of first appearance, zero terms dropped, the rational scale
+    multiplied in.  Cells with the same term sequence share an id, and one
+    ``_single_roots`` call decides the form of one cell per id.  Without an
+    exact form, or with an irrational scale, every cell has id 0 and no
+    field."""
+    x = matrix.exact
+    r = rational_sqrt(x.scale_sq) if x is not None else None
+    if r is None:
+        return np.zeros(matrix.values.size, dtype=np.int64), [""]
+    key, first, at = np.unique(x.cell * x.modulus + x.exp, return_index=True, return_inverse=True)
+    num = np.zeros(len(key), dtype=object)
+    np.add.at(num, at, x.num)
+    num *= r.numerator
+    order = np.lexsort((first, key // x.modulus))
+    order = order[num[order] != 0]
+    cell, exp, num = key[order] // x.modulus, key[order] % x.modulus, num[order]
+    count = np.bincount(cell, minlength=matrix.values.size)
+    reps, ids = _distinct(_term_sequences(count, exp, num))
+    is_rep = np.zeros(len(count), dtype=bool)
+    is_rep[reps] = True
+    t = is_rep[cell]
+    forms = _single_roots(x.modulus, x.den * r.denominator, count[reps], exp[t], num[t])
+    return ids, [_exact_json(form) for form in forms]
+
+
+def _cell_texts(values: np.ndarray, texts, *keys) -> list[list[str]]:
+    """Each entry's text, by rows, from ``texts(first)``: the texts of the
+    distinct (real bits, imaginary bits, *keys) tuples, given the flat index
+    of each one's first entry.  Keyed on bits, so -0.0 and 0.0 stay apart."""
+    bits = np.ascontiguousarray(values).view(np.uint64).reshape(-1, 2)
+    first, inverse = _distinct(bits[:, 0], bits[:, 1], *keys)
+    return np.array(texts(first), dtype=object)[inverse].reshape(values.shape).tolist()
+
+
+def _json_floats(x: np.ndarray) -> list[str]:
+    """Each float as ``json.dumps`` writes it (its repr when finite, x - x
+    being 0), one text per distinct bit pattern: the parts of distinct
+    entries repeat (the Singer (2,5) Gram's 134,719 distinct entries have
+    5,131 distinct real parts)."""
+    bits, at = np.unique(x.view(np.uint64), return_inverse=True)
+    texts = [float.__repr__(v) if v - v == 0 else json.dumps(v) for v in bits.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[at].tolist()
+
+
+def _json_list(items: list[str], depth: int) -> list[str]:
+    """``json.dumps(indent=2)`` of a list at ``depth`` whose items are
+    already rendered, as pieces to join: each item after its separator."""
+    if not items:
+        return ["[]"]
+    pad = "\n" + "  " * (depth + 1)
+    pieces = ["," + pad] * (2 * len(items))
+    pieces[0] = "[" + pad
+    pieces[1::2] = items
+    return pieces + ["\n" + "  " * depth + "]"]
+
+
+def _json_labels(labels) -> str:
+    return "".join(_json_list(["".join(_json_list([str(x) for x in t], 2)) for t in labels], 1))
 
 
 def write_matrix_json(path: Path, matrix: ComplexMatrix) -> None:
-    write_json(path, matrix_to_json(matrix))
+    """``json.dumps(indent=2)`` of {schema_version, rows, cols, entries}, each
+    distinct entry rendered once: at its fixed depth, an entry's text is a
+    function of its float bits and its exact field."""
+    flat = matrix.values.ravel()
+    ids, fields = _exact_fields(matrix)
+
+    def texts(first: np.ndarray) -> list[str]:
+        z = flat[first]
+        return [_JSON_ENTRY.format(re, im, fields[k])
+                for re, im, k in zip(_json_floats(z.real), _json_floats(z.imag), ids[first].tolist())]
+
+    rows = ["".join(_json_list(row, 2)) for row in _cell_texts(matrix.values, texts, ids)]
+    text = "".join([
+        f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "rows": {_json_labels(matrix.row_labels)},\n'
+        f'  "cols": {_json_labels(matrix.col_labels)},\n  "entries": ',
+        *_json_list(rows, 1), "\n}\n",
+    ])
+    del rows  # only the text stays while it is written
+    write_atomic(path, text)
 
 
 def read_matrix_json(path: Path) -> tuple[list, list, np.ndarray, dict]:
@@ -208,14 +319,17 @@ def parse_complex(text: str) -> complex:
 
 
 def write_matrix_csv(path: Path, matrix: ComplexMatrix) -> None:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([""] + [_label(c) for c in matrix.col_labels])
-    for i, r in enumerate(matrix.row_labels):
-        writer.writerow([_label(r)] + [_fmt_complex(matrix.values[i, j]) for j in range(matrix.shape[1])])
-    write_atomic(path, buf.getvalue())
+    """The rows ``csv.writer`` writes (labels, then the entries through
+    ``_fmt_complex``), each distinct entry formatted once.  No label or
+    entry needs quoting; csv writes a row of one empty field as '""'."""
+    flat = matrix.values.ravel()
+    cells = _cell_texts(matrix.values, lambda first: [_fmt_complex(z) for z in flat[first].tolist()])
+    lines = [",".join(["", *map(_label, matrix.col_labels)]) or '""']
+    lines += [",".join([_label(r), *row]) or '""' for r, row in zip(matrix.row_labels, cells)]
+    del cells
+    text = "\r\n".join([*lines, ""])
+    del lines  # only the text stays while it is written
+    write_atomic(path, text)
 
 
 def read_matrix_csv(path: Path) -> tuple[list, list, np.ndarray]:
@@ -273,8 +387,9 @@ def _gamma_by_index(group: AbelianGroup, idx: int):
 def _conference_gammas(group: AbelianGroup, H: Subgroup, index: int | None,
                        every: bool = False) -> list:
     """Every character off the annihilator of H with ``every``, else the one
-    at ``index``, else the first one off the annihilator."""
-    if index is not None and not every:
+    at ``index``, else the first one off the annihilator (the parser lets
+    ``every`` and ``index`` not both be given)."""
+    if index is not None:
         return [_gamma_by_index(group, index)]
     ann = H.annihilator()
     valid = [chi for chi in group.characters if not ann.contains(chi)]
@@ -474,6 +589,8 @@ def cmd_conference(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; it holds no functions, and ``main`` dispatches to
+    ``cmd_<command>`` by name, so a rebound ``cmd_*`` is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="etfkit",
         description="harmonic ETFs from difference sets: construct, classify, verify",
@@ -494,14 +611,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=2)
     p.add_argument("--k-orders", default=None, help="cyclic orders for the McFarland K, e.g. 2,2")
     common(p)
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("classify", help="certify and classify a set")
     p.add_argument("set_file", nargs="?", default=None)
     p.add_argument("--group", default=None, help="cyclic orders, e.g. 15 or 3,5")
     p.add_argument("--elements", default=None, help="elements, e.g. 6;11;7 or 0,1;1,2")
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("frame", help="emit frame matrices")
     p.add_argument("set_file")
@@ -510,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default=None, help=argparse.SUPPRESS)
     p.add_argument("--elements", default=None, help=argparse.SUPPRESS)
     common(p, with_format=True)
-    p.set_defaults(func=cmd_frame)
 
     p = sub.add_parser("verify", help="run a verification check")
     p.add_argument("set_file")
@@ -520,26 +634,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default=None, help=argparse.SUPPRESS)
     p.add_argument("--elements", default=None, help=argparse.SUPPRESS)
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("conference", help="build circulant conference matrices")
     p.add_argument("set_file")
     p.add_argument("--source", choices=("amalgam", "srds"), required=True)
-    p.add_argument("--gamma", type=int, default=None)
-    p.add_argument("--all-gammas", action="store_true")
+    gammas = p.add_mutually_exclusive_group()
+    gammas.add_argument("--gamma", type=int, default=None)
+    gammas.add_argument("--all-gammas", action="store_true")
     p.add_argument("--group", default=None, help=argparse.SUPPRESS)
     p.add_argument("--elements", default=None, help=argparse.SUPPRESS)
     common(p, with_format=True)
-    p.set_defaults(func=cmd_conference)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (ValueError, OSError, KeyError, MemoryError, SearchCapExceeded,
             VerdictDisagreement) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -244,24 +244,9 @@ class Cyclotomic:
 
     def single_root(self) -> tuple[Fraction, int, int] | None:
         """Decompose as ``q * w_modulus^e`` if possible: returns (q, e, modulus)."""
-        if not self._num:
-            return Fraction(0), 0, self.modulus
-        if len(self._num) == 1:
-            (e, n), = self._num.items()
-            return Fraction(n, self._den), e, self.modulus
-        r = self.as_rational()
-        if r is not None:
-            return r, 0, self.modulus
-        # numerically guided guess, verified exactly
-        z = complex(self)
-        if abs(z) < 1e-12:
-            return None
-        for sign in (1, -1):
-            e = round(cmath.phase(sign * z) * self.modulus / (2 * cmath.pi)) % self.modulus
-            q = (self * Cyclotomic.root(-e, self.modulus)).as_rational()
-            if q is not None:
-                return q, e, self.modulus
-        return None
+        n = len(self._num)
+        return _single_roots(self.modulus, self._den, np.array([n]), np.fromiter(self._num, np.int64, n),
+                             np.array(list(self._num.values()), dtype=object))[0]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Cyclotomic, RootOfUnity)):
@@ -319,6 +304,68 @@ def _reduce(modulus: int, nrows: int, row, exp, weight) -> tuple[int, np.ndarray
     for i in range(r - 1, k - 1, -1):
         rows[:, i - k:i] -= rows[:, i, None] * low
     return m, rows[:, :k].reshape(nrows, k * s)
+
+
+# rows times modulus of one ``_reduce`` call in ``_rationals``
+_REDUCE_CELLS = 1 << 22
+
+
+def _rationals(modulus: int, den: int, nrows: int, row, exp, num) -> list[Fraction | None]:
+    """Each row's ``sum num[t] / den * w_modulus^exp[t]`` over the terms t
+    with ``row[t] = i`` as a Fraction, or None where it is irrational: it is
+    rational exactly when its power-basis remainder is constant, whichever
+    modulus ``_reduce`` picks.  One ``_reduce`` per chunk of rows."""
+    out: list[Fraction | None] = []
+    step = max(1, _REDUCE_CELLS // modulus)
+    for lo in range(0, nrows, step):
+        t = (row >= lo) & (row < lo + step)
+        _, rem = _reduce(modulus, min(step, nrows - lo), row[t] - lo, exp[t], num[t])
+        irrational = (rem[:, 1:] != 0).any(axis=1).tolist()
+        out += [None if bad else Fraction(int(c), den) for c, bad in zip(rem[:, 0].tolist(), irrational)]
+    return out
+
+
+def _single_roots(modulus: int, den: int, count, exp, num) -> list[tuple[Fraction, int, int] | None]:
+    """``single_root`` of each value i: the ``count[i]`` terms after those of
+    the values before it, ``num[t] / den * w^exp[t]`` with w = exp(2 pi i /
+    modulus), distinct exponents and nonzero numerators, in the order
+    ``complex()`` of the value sums them.
+
+    A value of no terms is zero and one of one term is its own form.  One
+    of several terms is rational, or, unless it is below 1e-12 and has no
+    phase to go by, the rational multiple that it equals of the root nearest
+    its phase or, failing that, the opposite phase; else it has no form.
+    The values of several terms take one batched rational test and one for
+    both rotations, each a ``_rationals`` call."""
+    count = np.asarray(count, dtype=np.int64)
+    value = np.repeat(np.arange(len(count)), count)
+    out: list = [(Fraction(0), 0, modulus) if c == 0 else None for c in count.tolist()]
+    single = count[value] == 1
+    for i, e, n in zip(value[single].tolist(), exp[single].tolist(), num[single].tolist()):
+        out[i] = (Fraction(n, den), e, modulus)
+    vals, row = np.unique(value[~single], return_inverse=True)
+    exp, num = exp[~single], num[~single]
+    z = np.zeros(len(vals), dtype=np.complex128)
+    np.add.at(z, row, (num / den).astype(np.float64) * _root_array(modulus)[exp])
+    guessed, shifts = [], []
+    for k, (q, w) in enumerate(zip(_rationals(modulus, den, len(vals), row, exp, num), z.tolist())):
+        if q is not None:
+            out[vals[k]] = (q, 0, modulus)
+        elif abs(w) >= 1e-12:  # numerically guided guesses, verified exactly
+            guessed.append(k)
+            shifts.append([round(cmath.phase(sign * w) * modulus / (2 * cmath.pi)) % modulus
+                           for sign in (1, -1)])
+    slot = np.full(len(vals), -1)
+    slot[guessed] = np.arange(len(guessed))
+    t = slot[row] >= 0
+    j, shift = slot[row[t]], np.array(shifts, dtype=np.int64).reshape(-1, 2)
+    rotated = _rationals(modulus, den, 2 * len(guessed), np.concatenate([2 * j, 2 * j + 1]),
+                         np.concatenate([exp[t] - shift[j, 0], exp[t] - shift[j, 1]]) % modulus,
+                         np.concatenate([num[t], num[t]]))
+    for k, (e1, e2), q1, q2 in zip(guessed, shifts, rotated[::2], rotated[1::2]):
+        if q1 is not None or q2 is not None:
+            out[vals[k]] = (q1, e1, modulus) if q1 is not None else (q2, e2, modulus)
+    return out
 
 
 def _terms(values) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:

@@ -11,6 +11,9 @@ matrices, kept to pin down their replacements.
 from __future__ import annotations
 
 import cmath
+import csv
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -301,11 +304,71 @@ def reference_entry_exact(matrix, i: int, j: int) -> dict | None:
     r = rational_sqrt(matrix.exact.scale_sq)
     if r is None:
         return None
-    sr = (matrix.exact.cells[i][j] * r).single_root()
+    sr = reference_single_root(matrix.exact.cells[i][j] * r)
     if sr is None:
         return None
     q, e, mod = sr
     return {"num": q.numerator, "den": q.denominator, "root_exp": e, "root_mod": mod}
+
+
+def reference_single_root(x) -> tuple[Fraction, int, int] | None:
+    """``q * w_modulus^e`` of one ``Cyclotomic``: a lone term as it stands,
+    else a rational, else the float-guided rotations, each verified exactly
+    by ``as_rational``; None where the value is below 1e-12 or no rotation
+    is rational."""
+    terms = x.coeffs
+    if not terms:
+        return Fraction(0), 0, x.modulus
+    if len(terms) == 1:
+        (e, q), = terms.items()
+        return q, e, x.modulus
+    r = x.as_rational()
+    if r is not None:
+        return r, 0, x.modulus
+    z = complex(x)
+    if abs(z) < 1e-12:
+        return None
+    for sign in (1, -1):
+        e = round(cmath.phase(sign * z) * x.modulus / (2 * cmath.pi)) % x.modulus
+        q = (x * ek.Cyclotomic.root(-e, x.modulus)).as_rational()
+        if q is not None:
+            return q, e, x.modulus
+    return None
+
+
+def reference_matrix_json_text(matrix) -> str:
+    """The JSON matrix file one entry at a time: a dict per entry, its exact
+    field from ``reference_entry_exact``, the tree through
+    ``json.dumps(indent=2)``."""
+    entries = []
+    for i, values in enumerate(matrix.values.tolist()):
+        row = []
+        for j, z in enumerate(values):
+            cell = {"re": z.real, "im": z.imag}
+            exact = reference_entry_exact(matrix, i, j)
+            if exact is not None:
+                cell["exact"] = exact
+            row.append(cell)
+        entries.append(row)
+    payload = {
+        "schema_version": 1,
+        "rows": [list(r) for r in matrix.row_labels],
+        "cols": [list(c) for c in matrix.col_labels],
+        "entries": entries,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_matrix_csv_text(matrix) -> str:
+    """The CSV matrix file one entry at a time through ``csv.writer``:
+    labels joined by ":", entries "re+imi" at 17 significant digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([""] + [":".join(map(str, c)) for c in matrix.col_labels])
+    for i, r in enumerate(matrix.row_labels):
+        writer.writerow([":".join(map(str, r))]
+                        + [f"{z.real:.17g}{z.imag:+.17g}i" for z in matrix.values[i].tolist()])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 import etfkit as ek
 from etfkit import cli
 from etfkit.classify import _SliceTable
+from etfkit.matrices import ComplexMatrix, from_cells
 
-from conftest import reference_entry_exact
+from conftest import reference_entry_exact, reference_matrix_csv_text, reference_matrix_json_text
 
 
 def run(args):
@@ -173,15 +175,85 @@ def _exported_matrices(fam):
     (lambda: ek.singer_complement(2, 2), 150), (lambda: ek.tpp_complement(11), 0),
     (lambda: ek.mcfarland(2, 3), 196),
 ], ids=["singer_2_2", "tpp_11", "mcfarland_2_3"])
-def test_matrix_json_exact_fields_match_the_per_cell_reference(family, exact_fields):
+def test_matrix_json_exact_fields_match_the_per_cell_reference(tmp_path, family, exact_fields):
     kept = 0
     for kind, matrix in _exported_matrices(family()).items():
-        entries = cli.matrix_to_json(matrix)["entries"]
+        cli.write_matrix_json(tmp_path / f"{kind}.json", matrix)
+        entries = json.loads((tmp_path / f"{kind}.json").read_text())["entries"]
         for i, row in enumerate(entries):
             for j, cell in enumerate(row):
                 assert cell.get("exact") == reference_entry_exact(matrix, i, j), (kind, i, j)
                 kept += "exact" in cell
     assert kept == exact_fields
+
+
+# the matrix file writers against the per-entry references: repeated
+# entries, both signed zeros in each part, empty shapes, dropped exact forms
+# and irrational scales
+_FLOATS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1 / 3, 1e-300, 2.0**60, math.inf, -math.inf])
+_LABELS = st.lists(st.integers(0, 12), max_size=2).map(tuple)
+
+
+def _cyclotomic_pool(modulus: int):
+    terms = st.dictionaries(st.integers(0, modulus - 1),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=3)
+    return st.lists(terms.map(lambda c: ek.Cyclotomic(modulus, c)), min_size=1, max_size=4)
+
+
+@st.composite
+def exported_matrices(draw):
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows, cols = draw(st.lists(_LABELS, min_size=n, max_size=n)), draw(st.lists(_LABELS, min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["exact", "exact, float entries", "dropped"]))
+    if kind == "dropped":
+        values = draw(st.lists(st.tuples(_FLOATS, _FLOATS), min_size=n * m, max_size=n * m))
+        grid = np.array([complex(*v) for v in values], dtype=np.complex128).reshape(n, m)
+        return ComplexMatrix(tuple(rows), tuple(cols), grid)
+    modulus = draw(st.sampled_from([1, 2, 3, 4, 6, 15]))
+    pool = draw(_cyclotomic_pool(modulus))
+    cells = [[draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(n)]
+    scale_sq = draw(st.sampled_from([Fraction(1), Fraction(1, 4), Fraction(4, 9), Fraction(2), Fraction(0)]))
+    matrix = from_cells(rows, cols, cells, scale_sq)
+    if kind == "exact":
+        return matrix
+    # float entries unrelated to the exact cells: equal floats over unequal cells
+    values = draw(st.lists(st.tuples(_FLOATS, _FLOATS), min_size=n * m, max_size=n * m))
+    grid = np.array([complex(*v) for v in values], dtype=np.complex128).reshape(n, m)
+    return ComplexMatrix(matrix.row_labels, matrix.col_labels, grid, matrix.exact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exported_matrices())
+def test_matrix_writers_match_the_per_entry_references(tmp_path_factory, matrix):
+    out = tmp_path_factory.mktemp("writers")
+    cli.write_matrix_json(out / "m.json", matrix)
+    cli.write_matrix_csv(out / "m.csv", matrix)
+    assert (out / "m.json").read_bytes() == reference_matrix_json_text(matrix).encode()
+    assert (out / "m.csv").read_bytes() == reference_matrix_csv_text(matrix).encode()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 0)])
+def test_matrix_writers_on_empty_shapes(tmp_path, shape):
+    n, m = shape
+    for labels in ((), ((),)):  # () labels a lone empty csv field
+        matrix = from_cells([labels[0] if labels else (i,) for i in range(n)], [(j,) for j in range(m)],
+                            [[ek.Cyclotomic(3, {1: 1})] * m for _ in range(n)], Fraction(1))
+        cli.write_matrix_json(tmp_path / "m.json", matrix)
+        cli.write_matrix_csv(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.json").read_bytes() == reference_matrix_json_text(matrix).encode()
+        assert (tmp_path / "m.csv").read_bytes() == reference_matrix_csv_text(matrix).encode()
+
+
+def test_matrix_json_keeps_equal_floats_of_unequal_cells_apart(tmp_path):
+    third, near = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)
+    matrix = from_cells([(0,)], [(0,), (1,), (2,)],
+                        [[ek.Cyclotomic(1, {0: third}), ek.Cyclotomic(1, {0: near}),
+                          ek.Cyclotomic(1, {0: third})]], Fraction(1))
+    assert matrix.values[0, 0] == matrix.values[0, 1]
+    cli.write_matrix_json(tmp_path / "m.json", matrix)
+    assert (tmp_path / "m.json").read_bytes() == reference_matrix_json_text(matrix).encode()
+    _, _, _, exact = cli.read_matrix_json(tmp_path / "m.json")
+    assert [exact[(0, j)].as_rational() for j in range(3)] == [third, near, third]
 
 
 def test_report_file_is_the_printed_report(tmp_path, capsys):
@@ -320,6 +392,48 @@ def test_conference_gamma_in_annihilator_rejected(tmp_path):
     assert run([
         "conference", set_path, "--source", "amalgam", "--gamma", 3, "--out-dir", tmp_path,
     ]) == 2
+
+
+def test_conference_gamma_and_all_gammas_are_exclusive(tmp_path, capsys):
+    set_path = _write_z15(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["conference", set_path, "--source", "amalgam", "--gamma", 1, "--all-gammas",
+             "--out-dir", tmp_path])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "conference.report.json").exists()
+
+
+def test_back_to_back_calls_match_fresh_parsers(tmp_path, capsys, monkeypatch):
+    set_path = _write_z15(tmp_path)
+    calls = [
+        ["conference", set_path, "--source", "amalgam", "--gamma", 1],
+        ["conference", set_path, "--source", "amalgam"],
+        ["conference", set_path, "--source", "amalgam", "--all-gammas"],
+        ["verify", set_path, "--check", "conference", "--gamma", 2],
+        ["verify", set_path, "--check", "conference"],
+        ["frame", set_path, "--emit", "e-gamma", "--gamma", 2],
+        ["frame", set_path, "--emit", "e-gamma"],
+    ]
+
+    def reports(fresh: bool) -> list:
+        out = []
+        for k, argv in enumerate(calls):
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", None)
+            out_dir = tmp_path / f"{'fresh' if fresh else 'kept'}{k}"
+            assert run([*argv, "--out-dir", out_dir]) == 0
+            out.append([(p.name, p.read_text().replace(str(out_dir), "")) for p in sorted(out_dir.iterdir())])
+        return out
+
+    kept = reports(False)
+    assert reports(True) == kept
+
+    seen = []
+    assert run(["conference", set_path, "--source", "amalgam", "--gamma", 1, "--out-dir", tmp_path]) == 0
+    monkeypatch.setattr(cli, "cmd_conference", lambda args: seen.append(args) or 0)
+    assert run(["conference", set_path, "--source", "amalgam", "--out-dir", tmp_path]) == 0
+    assert [(a.gamma, a.all_gammas) for a in seen] == [(None, False)]
 
 
 def _write_z15_with(tmp_path, subgroup) -> Path:

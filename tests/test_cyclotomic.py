@@ -13,7 +13,7 @@ from etfkit.cyclotomic import (
     rational_sqrt,
 )
 
-from conftest import oracle_remainder, oracle_vanishes
+from conftest import oracle_remainder, oracle_vanishes, reference_single_root
 
 
 def test_cyclotomic_polynomial_known_values():
@@ -68,6 +68,36 @@ def test_single_root_detection():
     # a genuine two-term sum is not a single root
     assert (Cyclotomic.root(1, 15) + Cyclotomic.root(2, 15)).single_root() is None
     assert Cyclotomic.zero(15).single_root()[0] == 0
+
+
+@st.composite
+def single_root_candidates(draw):
+    """Sums with a single-root part, rational parts, cancelling root sums
+    (1 + w^(L/3) + w^(2L/3) = 0) and scales down to below 1e-12."""
+    L = draw(st.sampled_from([1, 2, 3, 6, 12, 15, 21]))
+    e = draw(st.integers(0, L - 1))
+    q = draw(st.fractions(min_value=-4, max_value=4, max_denominator=9))
+    x = Cyclotomic.root(e, L, q)
+    if L % 3 == 0 and draw(st.booleans()):
+        k = draw(st.integers(0, L - 1))
+        x = x + Cyclotomic(L, {k: 1, k + L // 3: 1, k + 2 * L // 3: 1}) * draw(st.integers(1, 3))
+    extra = draw(st.dictionaries(st.integers(0, L - 1),
+                                 st.fractions(min_value=-2, max_value=2, max_denominator=5), max_size=2))
+    x = x + Cyclotomic(L, extra)
+    return x * draw(st.sampled_from([Fraction(1), Fraction(1, 10**6), Fraction(1, 10**13)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(single_root_candidates())
+def test_single_root_matches_the_per_value_reference(x):
+    assert x.single_root() == reference_single_root(x)
+
+
+def test_single_root_below_the_phase_threshold_is_none():
+    # 10^-13 w^3 written with four terms is a single root, but too small to guess
+    tiny = Fraction(1, 10**13) * (Cyclotomic(15, {3: 1, 0: 1, 5: 1, 10: 1}))
+    assert tiny.single_root() is None and reference_single_root(tiny) is None
+    assert (tiny * 10**3).single_root() == (Fraction(1, 10**10), 3, 15)
 
 
 def test_multiplication_matches_complex_embedding():

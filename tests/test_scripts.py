@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run end to end and report no failure."""
 
+import json
 import os
 import subprocess
 import sys
@@ -37,3 +38,15 @@ def test_demo_prints_the_same_under_python_O():
     ]
     assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_ladder_runs_a_small_rung_in_a_fresh_process():
+    done = subprocess.run(
+        [sys.executable, "scripts/ladder.py", "--src", str(ROOT), "--rung", "singer_2_2_gram_json",
+         "--timeout", "120"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    rung, = json.loads(done.stdout.splitlines()[-1])["rungs"]
+    assert rung["rung"] == "singer_2_2_gram_json" and rung["outcome"] == "ok"
+    assert rung["wall_s"] > 0 and rung["maxrss_mb"] > 0
